@@ -27,6 +27,7 @@ from .groups import (
     StructureError,
     Tolerances,
     basis_coordinates,
+    basis_stack,
     from_coordinates,
     inner,
     norm,
@@ -76,12 +77,8 @@ def build_frame(n: int, tol: Tolerances = DEFAULT_TOL) -> AppositionFrame:
     """Construct and certify the frame for SU(n)."""
     ctx = GroupContext(n)
     lam = cyclic_shift(n)
-    basis = orthonormal_basis(ctx)
-    cols = []
-    lam_inv = lam.conj().T
-    for e in basis:
-        cols.append(basis_coordinates(ctx, lam @ e @ lam_inv - e))
-    M = np.column_stack(cols)
+    B = basis_stack(ctx)
+    M = basis_coordinates(ctx, lam @ B @ lam.conj().T - B).T
     _, s, vh = np.linalg.svd(M)
     kernel = vh[s <= tol.tau_rank * s[0]]
     if kernel.shape[0] != n - 1:
@@ -110,9 +107,8 @@ def frame_orthogonality_residual(frame: AppositionFrame) -> float:
 def stacked_torus_rank(frame: AppositionFrame, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of both torus bases stacked; ``2(n-1)`` means trivial intersection."""
     ctx = GroupContext(frame.n)
-    rows = [basis_coordinates(ctx, u) for u in frame.torus_basis]
-    rows += [basis_coordinates(ctx, v) for v in frame.partner_basis]
-    rank, _ = numerical_rank(np.vstack(rows), tol.tau_rank)
+    rows = basis_coordinates(ctx, np.array(frame.torus_basis + frame.partner_basis))
+    rank, _ = numerical_rank(rows, tol.tau_rank)
     return rank
 
 
@@ -164,10 +160,9 @@ def solve_moment_equation(g, zeta, tol: Tolerances = DEFAULT_TOL):
     g = _check_torus_regular(g, tol)
     n = g.shape[0]
     ctx = GroupContext(n)
-    basis = orthonormal_basis(ctx)
+    B = basis_stack(ctx)
     ginv = g.conj().T
-    cols = [basis_coordinates(ctx, e - ginv @ e @ g) for e in basis]
-    M = np.column_stack(cols)
+    M = basis_coordinates(ctx, B - ginv @ B @ g).T
     rhs = basis_coordinates(ctx, zeta)
     coef = np.linalg.pinv(M, rcond=tol.tau_rank) @ rhs
     J = from_coordinates(ctx, coef)

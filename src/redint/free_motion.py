@@ -142,10 +142,6 @@ def evaluate_double(f: w.Observable, z: DoublePoint) -> float:
     return w.evaluate(f, double_environment(z))
 
 
-def slot_gradient(f: w.Observable, z: DoublePoint, letter: str):
-    return w.letter_gradient(f, double_environment(z), letter)
-
-
 def lie_poisson_double_bracket(f: w.Observable, h: w.Observable, z: DoublePoint) -> float:
     """Product bracket, minus Lie-Poisson in the first slot, plus in the second:
 

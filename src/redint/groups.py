@@ -205,9 +205,27 @@ def orthonormal_basis(ctx: GroupContext):
     return _basis_tuple(ctx.n)
 
 
+@lru_cache(maxsize=None)
+def basis_stack(ctx: GroupContext):
+    """:func:`orthonormal_basis` as one cached, read-only ``(dim_g, n, n)`` array."""
+    stack = np.array(orthonormal_basis(ctx))
+    stack.flags.writeable = False
+    return stack
+
+
 def basis_coordinates(ctx: GroupContext, X):
-    """Coordinates of an algebra element on :func:`orthonormal_basis`."""
-    return np.array([inner(e, X) for e in orthonormal_basis(ctx)])
+    """Coordinates on :func:`orthonormal_basis` of ``X``, shape ``(n, n)`` or
+    a stack ``(..., n, n)``; the result has shape ``(..., dim_g)``.
+
+    Equals ``[inner(e, X) for e in basis]`` bit for bit: a basis row has one
+    nonzero, so each diagonal entry of ``e @ X`` is one rounded product, and
+    the trace sums them in the order ``inner`` does.
+    """
+    X = np.asarray(X)
+    if X.ndim < 2 or X.shape[-2:] != (ctx.n, ctx.n):
+        raise ShapeError(f"expected (..., {ctx.n}, {ctx.n}) matrices, got shape {X.shape}")
+    products = basis_stack(ctx) @ X[..., None, :, :]
+    return -np.trace(products, axis1=-2, axis2=-1).real
 
 
 def from_coordinates(ctx: GroupContext, coef):
@@ -252,9 +270,8 @@ def numerical_rank(M, tau_rank: float):
 
 def _ad_matrix(ctx: GroupContext, J):
     """Matrix of ``Y -> [J, Y]`` on the orthonormal basis of su(n)."""
-    basis = orthonormal_basis(ctx)
-    cols = [basis_coordinates(ctx, lie_bracket(J, e)) for e in basis]
-    return np.column_stack(cols)
+    B = basis_stack(ctx)
+    return basis_coordinates(ctx, J @ B - B @ J).T
 
 
 def centralizer_dim_algebra(J, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -300,16 +317,11 @@ def joint_centralizer_dim(algebra_items=(), group_items=(), tol: Tolerances = DE
         if m.shape != (n, n):
             raise ShapeError("all constraint matrices must share one size")
     ctx = GroupContext(n)
-    basis = orthonormal_basis(ctx)
-    blocks = []
-    for J in algebra_items:
-        blocks.append(np.column_stack([basis_coordinates(ctx, lie_bracket(e, J)) for e in basis]))
+    B = basis_stack(ctx)
+    blocks = [basis_coordinates(ctx, B @ J - J @ B).T for J in algebra_items]
     for g in group_items:
-        rows = []
-        for e in basis:
-            D = e @ g - g @ e
-            rows.append(np.concatenate([D.real.ravel(), D.imag.ravel()]))
-        blocks.append(np.column_stack(rows))
+        D = (B @ g - g @ B).reshape(ctx.dim_g, n * n)
+        blocks.append(np.concatenate([D.real, D.imag], axis=1).T)
     stacked = np.vstack(blocks)
     rank, _ = numerical_rank(stacked, tol.tau_rank)
     return ctx.dim_g - rank

@@ -109,6 +109,12 @@ def _bound(value, cmp, provenance):
     return {"value": value, "cmp": cmp, "provenance": provenance}
 
 
+def _word_cap(cfg: ExperimentConfig) -> int:
+    """Longest word in the invariant-span sweeps: ``max_word_len`` at n=2, at
+    least 6 above."""
+    return cfg.max_word_len if cfg.n == 2 else max(cfg.max_word_len, 6)
+
+
 def _holds(observed, spec):
     value, cmp = spec["value"], spec["cmp"]
     if cmp == "le":
@@ -299,7 +305,6 @@ def _check_reduced_ham_span(cfg: ExperimentConfig, tol: Tolerances):
 
 def _check_reduced_const_span(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
-    max_len = cfg.max_word_len if cfg.n == 2 else max(cfg.max_word_len, 6)
     finals = []
     plateau_at = 0
     monotone = True
@@ -308,7 +313,7 @@ def _check_reduced_const_span(cfg: ExperimentConfig, tol: Tolerances):
         x = random_phase_point(ctx, rng)
         if not rd.classify(x, tol).image_principal:
             continue
-        sweep = rd.span_plateau(x, max_len, tol)
+        sweep = rd.span_plateau(x, _word_cap(cfg), tol)
         finals.append(sweep[-1])
         if any(b < a for a, b in zip(sweep, sweep[1:])):
             monotone = False
@@ -376,8 +381,7 @@ def _check_leaf_codim(cfg: ExperimentConfig, tol: Tolerances):
 
 def _check_invariant_span_double(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
-    max_len = cfg.max_word_len if cfg.n == 2 else max(cfg.max_word_len, 6)
-    gens = rd.word_generators(max_len)
+    gens = rd.word_generators(_word_cap(cfg))
     mismatches = 0
     for i in range(cfg.samples):
         rng = sample_rng(cfg.seed, i)
@@ -659,11 +663,10 @@ def emit_plot_data(check: str, cfg: ExperimentConfig):
         return su2.trajectory_csv_rows(comp)
     if check == "reduced-const-span":
         ctx = GroupContext(cfg.n)
-        max_len = cfg.max_word_len if cfg.n == 2 else max(cfg.max_word_len, 6)
         for i in range(cfg.samples):
             x = random_phase_point(ctx, sample_rng(cfg.seed, i))
             if rd.classify(x, cfg.tolerances).image_principal:
-                sweep = rd.span_plateau(x, max_len, cfg.tolerances)
+                sweep = rd.span_plateau(x, _word_cap(cfg), cfg.tolerances)
                 rows = [f"{m + 1},{r}" for m, r in enumerate(sweep)]
                 return "max_len,rank", rows
         raise UsageError("no sample landed on the required stratum")

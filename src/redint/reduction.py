@@ -22,7 +22,9 @@ integer for any input stratum rather than failing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,10 +38,12 @@ from .free_motion import (
 )
 from .groups import (
     DEFAULT_TOL,
+    GroupContext,
     StructureError,
     Tolerances,
     adjoint,
     basis_coordinates,
+    basis_stack,
     centralizer_basis,
     is_regular,
     joint_centralizer_dim,
@@ -127,17 +131,21 @@ def tangent_coordinates(ctx, v: TangentVector):
     return np.concatenate([basis_coordinates(ctx, v.a), basis_coordinates(ctx, v.b)])
 
 
-def _stack(ctx, vectors):
-    if not vectors:
-        return np.zeros((0, 2 * ctx.dim_g))
-    return np.vstack([tangent_coordinates(ctx, v) for v in vectors])
+def gauge_matrix(x: PhasePoint):
+    """Chart coordinates of :func:`gauge_directions`, one row per basis element."""
+    ctx = x.context
+    B = basis_stack(ctx)
+    return np.hstack(
+        [
+            basis_coordinates(ctx, B - x.g @ B @ x.g.conj().T),
+            basis_coordinates(ctx, B @ x.J - x.J @ B),
+        ]
+    )
 
 
-def quotient_rank(ctx, vectors, gauge, tau_rank: float) -> int:
-    """``rank([V; W]) - rank(W)``, the dimension of the span of ``vectors``
-    projected along the gauge distribution."""
-    V = _stack(ctx, vectors)
-    W = _stack(ctx, gauge)
+def quotient_rank(V, W, tau_rank: float) -> int:
+    """``rank([V; W]) - rank(W)``, the dimension of the span of the rows of
+    ``V`` projected along the gauge rows ``W``."""
     joint, _ = numerical_rank(np.vstack([V, W]), tau_rank)
     base, _ = numerical_rank(W, tau_rank)
     return joint - base
@@ -151,9 +159,8 @@ def reduced_hamiltonian_span(x: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> in
     symmetry.
     """
     ctx = x.context
-    return quotient_rank(
-        ctx, hamiltonian_directions(x), gauge_directions(x), tol.tau_rank
-    )
+    V = np.vstack([tangent_coordinates(ctx, v) for v in hamiltonian_directions(x)])
+    return quotient_rank(V, gauge_matrix(x), tol.tau_rank)
 
 
 def _dedup_key(letters):
@@ -165,12 +172,13 @@ def _dedup_key(letters):
     return min(candidates)
 
 
+@lru_cache(maxsize=None)
 def word_generators(max_len: int):
     """All trace words over ``{X, Y}`` up to ``max_len`` letters, both parts,
     deduplicated modulo cyclic rotation and reversal.
 
-    Deterministic; returns single-word observables with unit coefficient.
-    Zero-trace words are retained.
+    Deterministic and cached; returns a tuple of single-word observables with
+    unit coefficient, ordered by word length. Zero-trace words are retained.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -183,11 +191,9 @@ def word_generators(max_len: int):
             if key not in seen:
                 seen.add(key)
                 classes.append(key)
-    out = []
-    for letters in classes:
-        out.append(w.observable(w.word(letters, part="re")))
-        out.append(w.observable(w.word(letters, part="im")))
-    return out
+    return tuple(
+        w.observable(w.word(letters, part=part)) for letters in classes for part in ("re", "im")
+    )
 
 
 def _slot_gradients(gen: w.Observable, z: DoublePoint):
@@ -206,12 +212,7 @@ def pullback_differential_row(x: PhasePoint, gen: w.Observable):
     z = constants_map(x)
     gX, gY = _slot_gradients(gen, z)
     pushed = adjoint(x.g, gX)
-    return np.concatenate(
-        [
-            basis_coordinates(ctx, lie_bracket(pushed, x.J)),
-            basis_coordinates(ctx, pushed + gY),
-        ]
-    )
+    return basis_coordinates(ctx, np.array([lie_bracket(pushed, x.J), pushed + gY])).ravel()
 
 
 def constants_differential_matrix(x: PhasePoint, gens):
@@ -232,8 +233,15 @@ def reduced_constants_span(x: PhasePoint, gens, tol: Tolerances = DEFAULT_TOL) -
 
 def span_plateau(x: PhasePoint, max_len: int, tol: Tolerances = DEFAULT_TOL):
     """Sweep ``reduced_constants_span`` over word length; returns the list of
-    ranks for lengths ``1..max_len``."""
-    return [reduced_constants_span(x, word_generators(m), tol) for m in range(1, max_len + 1)]
+    ranks for lengths ``1..max_len``. The generators of each length lead
+    ``word_generators(max_len)``, so each rank is taken on leading rows."""
+    gens = word_generators(max_len)
+    lengths = [len(gen.words[0].letters) for gen in gens]
+    D = constants_differential_matrix(x, gens)
+    return [
+        numerical_rank(D[: bisect_right(lengths, m)], tol.tau_rank)[0]
+        for m in range(1, max_len + 1)
+    ]
 
 
 def centrality_defect(x: PhasePoint, k: int, gen: w.Observable) -> float:
@@ -249,12 +257,8 @@ def moment_casimir_row(x: PhasePoint, k: int):
     mu = moment_map(x)
     grad = casimir_gradient(k, mu)
     pushed = adjoint(x.g, grad)
-    return np.concatenate(
-        [
-            -basis_coordinates(ctx, lie_bracket(pushed, x.J)),
-            basis_coordinates(ctx, grad - pushed),
-        ]
-    )
+    coords = basis_coordinates(ctx, np.array([lie_bracket(pushed, x.J), grad - pushed]))
+    return np.concatenate([-coords[0], coords[1]])
 
 
 def leaf_codim(x: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -265,26 +269,16 @@ def leaf_codim(x: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> int:
     gauge-orthogonal and the quotient subtraction is a consistency guard
     rather than a correction.
     """
-    ctx = x.context
-    D = np.vstack([moment_casimir_row(x, k) for k in range(2, ctx.n + 1)])
-    W = _stack(ctx, gauge_directions(x))
-    joint, _ = numerical_rank(np.vstack([D, W]), tol.tau_rank)
-    base, _ = numerical_rank(W, tol.tau_rank)
-    return joint - base
+    D = np.vstack([moment_casimir_row(x, k) for k in range(2, x.context.n + 1)])
+    return quotient_rank(D, gauge_matrix(x), tol.tau_rank)
 
 
 def double_differential_matrix(z: DoublePoint, gens):
     """Stacked differentials of invariant words at a point of the double."""
-    from .groups import GroupContext
-
     ctx = GroupContext(z.n)
-    rows = []
-    for gen in gens:
-        gX, gY = _slot_gradients(gen, z)
-        rows.append(
-            np.concatenate([basis_coordinates(ctx, gX), basis_coordinates(ctx, gY)])
-        )
-    return np.vstack(rows)
+    return np.array(
+        [basis_coordinates(ctx, np.array(_slot_gradients(gen, z))).ravel() for gen in gens]
+    )
 
 
 def invariant_span_double(z: DoublePoint, gens, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -295,8 +289,6 @@ def invariant_span_double(z: DoublePoint, gens, tol: Tolerances = DEFAULT_TOL) -
 
 def double_orbit_dim(z: DoublePoint, tol: Tolerances = DEFAULT_TOL) -> int:
     """Dimension of the conjugation orbit through ``z``."""
-    from .groups import GroupContext
-
     ctx = GroupContext(z.n)
     return ctx.dim_g - joint_centralizer_dim([z.X, z.Y], [], tol)
 

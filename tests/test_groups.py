@@ -10,6 +10,8 @@ from redint.groups import (
     StructureError,
     Tolerances,
     adjoint,
+    basis_coordinates,
+    basis_stack,
     centralizer_basis,
     centralizer_dim_algebra,
     check_algebra,
@@ -238,6 +240,33 @@ def test_basis_gram_identity():
         assert len(basis) == ctx.dim_g
         gram = np.array([[inner(a, b) for b in basis] for a in basis])
         assert np.abs(gram - np.eye(ctx.dim_g)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_basis_coordinates_equal_the_inner_loop_bit_for_bit(n):
+    # inner stays the independent oracle: one pairing per basis element
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(300 + n)
+    basis = orthonormal_basis(ctx)
+    g = random_group(ctx, rng)
+    mats = [random_algebra(ctx, rng) for _ in range(20)] + [g, g.conj().T]
+    mats.append(1e6 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+    oracle = np.array([[inner(e, X) for e in basis] for X in mats])
+    for X, row in zip(mats, oracle):
+        assert np.array_equal(basis_coordinates(ctx, X), row)
+    stack = np.array(mats)
+    assert np.array_equal(basis_coordinates(ctx, stack), oracle)
+    transposed = np.array([[inner(e, X.T) for e in basis] for X in mats])
+    assert np.array_equal(basis_coordinates(ctx, stack.transpose(0, 2, 1)), transposed)
+    assert np.array_equal(basis_coordinates(ctx, stack[None, ::2]), oracle[None, ::2])
+    assert not basis_stack(ctx).flags.writeable
+
+
+def test_basis_coordinates_rejects_wrong_shapes():
+    ctx = GroupContext(3)
+    for bad in (np.zeros((3, 2)), np.eye(2), np.zeros(9), np.zeros((4, 2, 3)), np.zeros((2, 4, 4))):
+        with pytest.raises(ShapeError):
+            basis_coordinates(ctx, bad)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

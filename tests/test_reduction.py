@@ -23,6 +23,7 @@ from redint.reduction import (
     constants_differential_matrix,
     double_orbit_dim,
     gauge_directions,
+    gauge_matrix,
     hamiltonian_directions,
     hamiltonian_span_inside_constants,
     invariant_span_double,
@@ -99,6 +100,16 @@ def test_gauge_directions_have_full_rank_on_principal_points():
         assert np.linalg.matrix_rank(W, tol=1e-8) == ctx.dim_g
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gauge_matrix_equals_gauge_direction_coordinates_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(45)
+    for _ in range(3):
+        x = random_phase_point(ctx, rng)
+        W = np.array([tangent_coordinates(ctx, v) for v in gauge_directions(x)])
+        assert np.array_equal(gauge_matrix(x), W)
+
+
 def test_hamiltonian_directions():
     diag = PhasePoint(np.eye(2, dtype=complex), np.diag([1j, -1j]))
     dirs = hamiltonian_directions(diag)
@@ -151,7 +162,10 @@ def test_word_generators_contract():
     gens2 = word_generators(2)
     letters = {g.words[0].letters for g in gens2}
     assert ("X", "Y") in letters or ("Y", "X") in letters
-    assert word_generators(3) == word_generators(3)
+    assert word_generators(3) == word_generators.__wrapped__(3)
+    assert word_generators(3) is word_generators(3)
+    assert isinstance(gens2, tuple)
+    assert word_generators(4)[: len(gens2)] == gens2
     with pytest.raises(ValueError):
         word_generators(0)
 
@@ -176,6 +190,15 @@ def test_reduced_constants_span_plateau(ctx, max_len):
         sweep = span_plateau(x, max_len)
         assert sweep[-1] == target
         assert all(b >= a for a, b in zip(sweep, sweep[1:]))
+
+
+@pytest.mark.parametrize("ctx,max_len", [(CTX2, 4), (CTX3, 6)])
+def test_span_plateau_equals_the_per_length_spans(ctx, max_len):
+    rng = np.random.default_rng(60)
+    for _ in range(3):
+        x = random_phase_point(ctx, rng)
+        per_length = [reduced_constants_span(x, word_generators(k)) for k in range(1, max_len + 1)]
+        assert span_plateau(x, max_len) == per_length
 
 
 def test_pullback_differential_row_matches_finite_differences():
