@@ -12,10 +12,10 @@ from redint import GroupContext, classify, random_phase_point
 from redint.free_motion import DoublePoint
 from redint.groups import random_algebra
 from redint.reduction import (
-    centrality_defect,
     double_orbit_dim,
     invariant_span_double,
     leaf_codim,
+    max_centrality_defect,
     reduced_hamiltonian_span,
     span_plateau,
     word_generators,
@@ -31,7 +31,7 @@ for n in (2, 3):
     sweep = span_plateau(x, max_len)
     print("constants span by word length:", sweep, "-> expected plateau", ctx.dim_g - ctx.rank)
     gens = word_generators(4)
-    worst = max(centrality_defect(x, k, gen) for k in range(2, n + 1) for gen in gens)
+    worst = max_centrality_defect(x, gens)
     print("max Casimir centrality defect:", f"{worst:.2e}")
     print("leaf codimension from moment Casimirs:", leaf_codim(x), "(rank =", ctx.rank, ")")
     print()

@@ -344,10 +344,7 @@ def _check_centrality(cfg: ExperimentConfig, tol: Tolerances):
     points = min(cfg.samples, 50)
     for i in range(points):
         rng = sample_rng(cfg.seed, i)
-        x = random_phase_point(ctx, rng)
-        for k in range(2, ctx.n + 1):
-            for gen in gens:
-                worst = max(worst, rd.centrality_defect(x, k, gen))
+        worst = max(worst, rd.max_centrality_defect(random_phase_point(ctx, rng), gens))
     observed = {"max_defect": worst}
     expected = {
         "max_defect": _bound(

@@ -77,14 +77,21 @@ def fiber_gradient(F: w.Observable, x: PhasePoint):
     return w.letter_gradient(F, environment(x), "J")
 
 
+def gradients(F: w.Observable, x: PhasePoint):
+    """``(left_gradient, fiber_gradient)`` of ``F`` at ``x``."""
+    env = environment(x)
+    return w.left_group_gradient(F, env), w.letter_gradient(F, env, "J")
+
+
+def bracket_from_gradients(J, gradF, gradH) -> float:
+    """The bracket formula at fiber value ``J`` from two gradient pairs."""
+    (gF, dF), (gH, dH) = gradF, gradH
+    return inner(gF, dH) - inner(gH, dF) + inner(J, lie_bracket(dF, dH))
+
+
 def poisson_bracket(F: w.Observable, H: w.Observable, x: PhasePoint) -> float:
     """Canonical bracket of two trace-word observables at ``x``."""
-    env = environment(x)
-    gF = w.left_group_gradient(F, env)
-    gH = w.left_group_gradient(H, env)
-    dF = w.letter_gradient(F, env, "J")
-    dH = w.letter_gradient(H, env, "J")
-    return inner(gF, dH) - inner(gH, dF) + inner(x.J, lie_bracket(dF, dH))
+    return bracket_from_gradients(x.J, gradients(F, x), gradients(H, x))
 
 
 def hamiltonian_velocity(H: w.Observable, x: PhasePoint):
@@ -94,10 +101,8 @@ def hamiltonian_velocity(H: w.Observable, x: PhasePoint):
     order, and ``dF/dt = <a, grad_left F> + <b, grad_fiber F>`` reproduces
     the bracket ``{F, H}`` for every observable ``F``.
     """
-    env = environment(x)
-    a = w.letter_gradient(H, env, "J")
-    b = -w.left_group_gradient(H, env) - lie_bracket(x.J, a)
-    return a, b
+    gH, a = gradients(H, x)
+    return a, -gH - lie_bracket(x.J, a)
 
 
 def shift(x: PhasePoint, a, b, t: float) -> PhasePoint:
@@ -164,20 +169,14 @@ def product_gradients(F: w.Observable, G: w.Observable, x: PhasePoint):
     The product of two trace observables is no longer a trace word, but its
     gradients are exact combinations of the factor gradients.
     """
-    env = environment(x)
-    fv, gv = w.evaluate(F, env), w.evaluate(G, env)
-    left = fv * w.left_group_gradient(G, env) + gv * w.left_group_gradient(F, env)
-    fiber = fv * w.letter_gradient(G, env, "J") + gv * w.letter_gradient(F, env, "J")
-    return left, fiber
+    fv, gv = evaluate(F, x), evaluate(G, x)
+    (gF, dF), (gG, dG) = gradients(F, x), gradients(G, x)
+    return fv * gG + gv * gF, fv * dG + gv * dF
 
 
 def product_bracket(F: w.Observable, G: w.Observable, H: w.Observable, x: PhasePoint) -> float:
     """``{F * G, H}`` with the product gradients fed through the bracket."""
-    env = environment(x)
-    left, fiber = product_gradients(F, G, x)
-    gH = w.left_group_gradient(H, env)
-    dH = w.letter_gradient(H, env, "J")
-    return inner(left, dH) - inner(gH, fiber) + inner(x.J, lie_bracket(fiber, dH))
+    return bracket_from_gradients(x.J, product_gradients(F, G, x), gradients(H, x))
 
 
 def act(eta, x: PhasePoint) -> PhasePoint:

@@ -10,6 +10,7 @@ no chart on the orbit space is ever constructed. The certificates are
 * ``reduced_constants_span``     dimension of the span of differentials of
   pulled-back invariant words (expected ``dim_g - rank``),
 * ``centrality_defect``   bracket of a Casimir with a pulled-back invariant,
+* ``max_centrality_defect``  its largest value over Casimirs and generators,
 * ``leaf_codim``          independence count of the Casimirs of the moment
   value (expected ``rank``),
 * ``invariant_span_double``      span of invariant-word differentials on the
@@ -51,7 +52,7 @@ from .groups import (
     numerical_rank,
     orthonormal_basis,
 )
-from .phase import PhasePoint, moment_map, poisson_bracket
+from .phase import PhasePoint, bracket_from_gradients, gradients, moment_map, poisson_bracket
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,18 @@ def centrality_defect(x: PhasePoint, k: int, gen: w.Observable) -> float:
     the pulled-back constants of motion."""
     ck = pullback(casimir_double(k, "Y"))
     return abs(poisson_bracket(ck, pullback(gen), x))
+
+
+def max_centrality_defect(x: PhasePoint, gens) -> float:
+    """Largest :func:`centrality_defect` over ``k = 2..n`` and ``gens``, in
+    the same arithmetic, with each gradient pair taken once."""
+    grads = [gradients(pullback(gen), x) for gen in gens]
+    worst = 0.0
+    for k in range(2, x.n + 1):
+        ck = gradients(pullback(casimir_double(k, "Y")), x)
+        for gh in grads:
+            worst = max(worst, abs(bracket_from_gradients(x.J, ck, gh)))
+    return worst
 
 
 def moment_casimir_row(x: PhasePoint, k: int):

@@ -201,17 +201,6 @@ def substitute(obs: Observable, mapping) -> Observable:
     return Observable(tuple(new_words))
 
 
-def scale(obs: Observable, factor: float) -> Observable:
-    return Observable(tuple(TraceWord(w.letters, w.part, w.coeff * factor) for w in obs.words))
-
-
-def add(*terms: Observable) -> Observable:
-    out = []
-    for t in terms:
-        out.extend(t.words)
-    return Observable(tuple(out))
-
-
 def format_observable(obs: Observable) -> str:
     """Serialize to the text grammar ``coeff * Re|Im tr(W)`` joined by ``+``."""
     parts = []

@@ -16,11 +16,13 @@ from redint.groups import (
 from redint.phase import (
     PhasePoint,
     act,
+    bracket_from_gradients,
     evaluate,
     fd_bracket_with,
     fd_fiber_gradient,
     fd_left_gradient,
     fiber_gradient,
+    gradients,
     hamiltonian_velocity,
     left_gradient,
     moment_generates_defect,
@@ -125,6 +127,21 @@ def test_bracket_antisymmetry_is_exact():
             assert abs(poisson_bracket(F, H, x) + poisson_bracket(H, F, x)) <= 1e-14
 
 
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_bracket_from_gradients_is_the_bracket_bit_for_bit(ctx):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        x = random_phase_point(ctx, rng)
+        F = random_observable(rng, ("G", "Ginv", "J"), max_len=4)
+        H = random_observable(rng, ("G", "Ginv", "J"), max_len=4)
+        gF, dF = gradients(F, x)
+        gH, dH = gradients(H, x)
+        assert np.array_equal(gF, left_gradient(F, x)) and np.array_equal(dF, fiber_gradient(F, x))
+        got = bracket_from_gradients(x.J, (gF, dF), (gH, dH))
+        assert got == poisson_bracket(F, H, x)
+        assert got == inner(gF, dH) - inner(gH, dF) + inner(x.J, lie_bracket(dF, dH))
+
+
 def test_bracket_against_flow_derivative_oracle():
     # {F, H} with H = -Re tr(J J): flow direction is 2J, so the bracket is
     # the time derivative of F along t -> (e^{2tJ} g, J)
@@ -159,8 +176,14 @@ def test_leibniz_property():
             x = random_phase_point(ctx, rng)
             F, G, H = (random_observable(rng, ("G", "Ginv", "J"), max_len=3) for _ in range(3))
             lhs = product_bracket(F, G, H, x)
-            rhs = evaluate(F, x) * poisson_bracket(G, H, x) + evaluate(G, x) * poisson_bracket(F, H, x)
+            fv, gv = evaluate(F, x), evaluate(G, x)
+            rhs = fv * poisson_bracket(G, H, x) + gv * poisson_bracket(F, H, x)
             assert abs(lhs - rhs) <= 1e-9
+            # the product rule fed through the bracket formula, written out
+            left = fv * left_gradient(G, x) + gv * left_gradient(F, x)
+            fiber = fv * fiber_gradient(G, x) + gv * fiber_gradient(F, x)
+            gH, dH = left_gradient(H, x), fiber_gradient(H, x)
+            assert lhs == inner(left, dH) - inner(gH, fiber) + inner(x.J, lie_bracket(fiber, dH))
 
 
 def test_jacobi_identity_sampled():

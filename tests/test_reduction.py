@@ -28,6 +28,7 @@ from redint.reduction import (
     hamiltonian_span_inside_constants,
     invariant_span_double,
     leaf_codim,
+    max_centrality_defect,
     moment_casimir_row,
     pullback_differential_row,
     quotient_rank,
@@ -235,6 +236,20 @@ def test_centrality_with_second_slot_words_is_machine_precision():
     x = random_phase_point(CTX2, rng)
     gen = observable(word(("Y", "Y")))
     assert centrality_defect(x, 2, gen) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_max_centrality_defect_equals_the_per_pair_defects_bit_for_bit(n):
+    rng = np.random.default_rng(70 + n)
+    # Re tr(YY) has second-slot letters only
+    gens = word_generators(4) + (observable(word(("Y", "Y"))),)
+    for _ in range(3 if n < 5 else 2):
+        x = random_phase_point(GroupContext(n), rng)
+        want = max(centrality_defect(x, k, gen) for k in range(2, n + 1) for gen in gens)
+        assert max_centrality_defect(x, gens) == want
+        assert max_centrality_defect(x, gens[-1:]) == max(
+            centrality_defect(x, k, gens[-1]) for k in range(2, n + 1)
+        )
 
 
 @pytest.mark.parametrize("ctx", [CTX2, CTX3])
