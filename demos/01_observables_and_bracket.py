@@ -7,14 +7,8 @@ exact gradients against finite differences, and samples the bracket axioms.
 import numpy as np
 
 from redint import GroupContext, random_phase_point
-from redint.phase import (
-    fd_fiber_gradient,
-    fd_left_gradient,
-    fiber_gradient,
-    left_gradient,
-    poisson_bracket,
-)
-from redint.words import format_observable, observable, parse_observable, word
+from redint.phase import evaluate, fd_gradients, fiber_gradient, left_gradient, poisson_bracket
+from redint.words import observable, word
 
 ctx = GroupContext(3)
 x = random_phase_point(ctx, seed=0)
@@ -22,14 +16,14 @@ x = random_phase_point(ctx, seed=0)
 print("== observables ==")
 kinetic = observable(word(("J", "J"), coeff=-0.5))
 holonomy = observable(word(("G",)), word(("G", "J"), part="im", coeff=0.25))
-print("kinetic  :", format_observable(kinetic))
-print("holonomy :", format_observable(holonomy))
-print("round trip parse ok:", parse_observable(format_observable(holonomy)) == holonomy)
+print("kinetic  = -0.5 Re tr(J J)               :", evaluate(kinetic, x))
+print("holonomy = Re tr(G) + 0.25 Im tr(G J)     :", evaluate(holonomy, x))
 
 print("\n== exact gradients vs finite differences ==")
 for name, F in (("kinetic", kinetic), ("holonomy", holonomy)):
-    dl = np.linalg.norm(left_gradient(F, x) - fd_left_gradient(F, x, 1e-5))
-    df = np.linalg.norm(fiber_gradient(F, x) - fd_fiber_gradient(F, x, 1e-5))
+    fd_left, fd_fiber = fd_gradients(F, x, 1e-5)
+    dl = np.linalg.norm(left_gradient(F, x) - fd_left)
+    df = np.linalg.norm(fiber_gradient(F, x) - fd_fiber)
     print(f"{name:9s} left-gradient defect {dl:.2e}, fiber-gradient defect {df:.2e}")
 
 print("\n== bracket values ==")

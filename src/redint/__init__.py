@@ -35,8 +35,6 @@ from .words import (
     Observable,
     TraceWord,
     evaluate as evaluate_words,
-    format_observable,
-    parse_observable,
 )
 from .phase import (
     PhasePoint,
@@ -49,7 +47,6 @@ from .phase import (
     moment_generates_defect,
     poisson_bracket,
     random_phase_point,
-    right_gradient,
 )
 from .free_motion import (
     DoublePoint,

@@ -142,16 +142,19 @@ def evaluate_double(f: w.Observable, z: DoublePoint) -> float:
     return w.evaluate(f, double_environment(z))
 
 
+def slot_gradients(f: w.Observable, z: DoublePoint):
+    """``(grad_X f, grad_Y f)``, the letter gradients of both slots at ``z``."""
+    env = double_environment(z)
+    return w.letter_gradient(f, env, "X"), w.letter_gradient(f, env, "Y")
+
+
 def lie_poisson_double_bracket(f: w.Observable, h: w.Observable, z: DoublePoint) -> float:
     """Product bracket, minus Lie-Poisson in the first slot, plus in the second:
 
     ``-<X, [grad_X f, grad_X h]> + <Y, [grad_Y f, grad_Y h]>``.
     """
-    env = double_environment(z)
-    fX = w.letter_gradient(f, env, "X")
-    fY = w.letter_gradient(f, env, "Y")
-    hX = w.letter_gradient(h, env, "X")
-    hY = w.letter_gradient(h, env, "Y")
+    fX, fY = slot_gradients(f, z)
+    hX, hY = slot_gradients(h, z)
     return -inner(z.X, lie_bracket(fX, hX)) + inner(z.Y, lie_bracket(fY, hY))
 
 

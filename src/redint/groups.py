@@ -125,7 +125,8 @@ def project_algebra(M):
     M = _require_square(M)
     A = 0.5 * (M - M.conj().T)
     n = M.shape[0]
-    return A - (np.trace(A) / n) * np.eye(n)
+    A[np.diag_indices(n)] -= np.trace(A) / n
+    return A
 
 
 def check_algebra(X, tol: Tolerances = DEFAULT_TOL):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,6 +105,14 @@ def sample_rng(seed: int, index: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _sample_points(cfg: ExperimentConfig, ctx: GroupContext, count: int):
+    """``(rng, x)`` for samples ``0..count-1``: the phase point is the first
+    draw of the sample's own generator, and later draws continue from it."""
+    for i in range(count):
+        rng = sample_rng(cfg.seed, i)
+        yield rng, random_phase_point(ctx, rng)
+
+
 def _bound(value, cmp, provenance):
     return {"value": value, "cmp": cmp, "provenance": provenance}
 
@@ -133,9 +141,7 @@ def _holds(observed, spec):
 def _check_bracket_axioms(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
     worst_anti = worst_leibniz = worst_jacobi = worst_product_fd = 0.0
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        x = random_phase_point(ctx, rng)
+    for rng, x in _sample_points(cfg, ctx, cfg.samples):
         F, G, H = (w.random_observable(rng, w.PHASE_LETTERS, max_len=3) for _ in range(3))
 
         worst_anti = max(
@@ -184,9 +190,7 @@ def _check_bracket_axioms(cfg: ExperimentConfig, tol: Tolerances):
 def _check_psi_poisson(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
     worst = 0.0
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        x = random_phase_point(ctx, rng)
+    for rng, x in _sample_points(cfg, ctx, cfg.samples):
         f = w.random_observable(rng, w.DOUBLE_LETTERS, max_len=cfg.max_word_len)
         h = w.random_observable(rng, w.DOUBLE_LETTERS, max_len=cfg.max_word_len)
         worst = max(worst, fm.poisson_map_defect(f, h, x))
@@ -206,9 +210,7 @@ def _check_flow_conservation(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
     t_grid = np.arange(0.0, cfg.t_max + 1e-12, 0.5)
     worst = 0.0
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        x = random_phase_point(ctx, rng)
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
         for k in range(2, ctx.n + 1):
             worst = max(worst, fm.flow_conservation_defect(x, fm.casimir(k), t_grid))
     observed = {"max_drift": worst}
@@ -224,9 +226,7 @@ def _check_dpsi_rank(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
     ranks = []
     tail = 0.0
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        x = random_phase_point(ctx, rng)
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
         if not is_regular(x.J, tol):
             continue
         r, s = fm.constants_map_rank(x, tol)
@@ -258,9 +258,8 @@ def _check_dpsi_rank(cfg: ExperimentConfig, tol: Tolerances):
 def _check_strata_census(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
     hits = {"regular_momentum": 0, "principal": 0, "image_principal": 0, "regular_moment": 0}
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        flags = rd.classify(random_phase_point(ctx, rng), tol)
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
+        flags = rd.classify(x, tol)
         for key in hits:
             hits[key] += int(getattr(flags, key))
     observed = {key: hits[key] / cfg.samples for key in hits}
@@ -275,9 +274,7 @@ def _check_reduced_ham_span(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
     spans = []
     violations = 0
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        x = random_phase_point(ctx, rng)
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
         flags = rd.classify(x, tol)
         if not (flags.principal and flags.regular_momentum):
             continue
@@ -308,9 +305,7 @@ def _check_reduced_const_span(cfg: ExperimentConfig, tol: Tolerances):
     finals = []
     plateau_at = 0
     monotone = True
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        x = random_phase_point(ctx, rng)
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
         if not rd.classify(x, tol).image_principal:
             continue
         sweep = rd.span_plateau(x, _word_cap(cfg), tol)
@@ -341,10 +336,8 @@ def _check_centrality(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(min(cfg.max_word_len, 4))
     worst = 0.0
-    points = min(cfg.samples, 50)
-    for i in range(points):
-        rng = sample_rng(cfg.seed, i)
-        worst = max(worst, rd.max_centrality_defect(random_phase_point(ctx, rng), gens))
+    for _, x in _sample_points(cfg, ctx, min(cfg.samples, 50)):
+        worst = max(worst, rd.max_centrality_defect(x, gens))
     observed = {"max_defect": worst}
     expected = {
         "max_defect": _bound(
@@ -357,9 +350,7 @@ def _check_centrality(cfg: ExperimentConfig, tol: Tolerances):
 def _check_leaf_codim(cfg: ExperimentConfig, tol: Tolerances):
     ctx = GroupContext(cfg.n)
     values = []
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        x = random_phase_point(ctx, rng)
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
         flags = rd.classify(x, tol)
         if not (flags.principal and flags.regular_moment):
             continue
@@ -624,15 +615,7 @@ def run_all(cfg: ExperimentConfig, sizes=(2, 3)):
     """Every registered check for each group size; returns the report list."""
     reports = []
     for n in sizes:
-        sub = ExperimentConfig(
-            n=n,
-            seed=cfg.seed,
-            samples=cfg.samples,
-            max_word_len=cfg.max_word_len,
-            tolerances=cfg.tolerances,
-            t_max=cfg.t_max,
-            output_path=cfg.output_path,
-        )
+        sub = replace(cfg, n=n)
         for name in CHECKS:
             reports.append(run_check(name, sub))
     return reports
@@ -660,8 +643,7 @@ def emit_plot_data(check: str, cfg: ExperimentConfig):
         return su2.trajectory_csv_rows(comp)
     if check == "reduced-const-span":
         ctx = GroupContext(cfg.n)
-        for i in range(cfg.samples):
-            x = random_phase_point(ctx, sample_rng(cfg.seed, i))
+        for _, x in _sample_points(cfg, ctx, cfg.samples):
             if rd.classify(x, cfg.tolerances).image_principal:
                 sweep = rd.span_plateau(x, _word_cap(cfg), cfg.tolerances)
                 rows = [f"{m + 1},{r}" for m, r in enumerate(sweep)]

@@ -26,6 +26,7 @@ from .groups import (
     GroupContext,
     ShapeError,
     Tolerances,
+    from_coordinates,
     group_exp,
     inner,
     lie_bracket,
@@ -65,11 +66,6 @@ def evaluate(F: w.Observable, x: PhasePoint) -> float:
 def left_gradient(F: w.Observable, x: PhasePoint):
     """su(n) representative of ``d/dt F(e^{tA} g, J)`` at ``t = 0``."""
     return w.left_group_gradient(F, environment(x))
-
-
-def right_gradient(F: w.Observable, x: PhasePoint):
-    """su(n) representative of ``d/dt F(g e^{tA}, J)``; auxiliary only."""
-    return w.right_group_gradient(F, environment(x))
 
 
 def fiber_gradient(F: w.Observable, x: PhasePoint):
@@ -120,26 +116,14 @@ def directional_derivative(F: w.Observable, x: PhasePoint, a, b, h: float) -> fl
     return fd_directional(lambda y: evaluate(F, y), x, a, b, h)
 
 
-def fd_left_gradient(F: w.Observable, x: PhasePoint, h: float):
-    """Finite-difference oracle for :func:`left_gradient`."""
+def fd_gradients(F: w.Observable, x: PhasePoint, h: float):
+    """Finite-difference oracle for :func:`gradients`, in the same order."""
     ctx = x.context
     zero = np.zeros_like(x.J)
-    coef = [directional_derivative(F, x, e, zero, h) for e in orthonormal_basis(ctx)]
-    out = np.zeros_like(x.J)
-    for c, e in zip(coef, orthonormal_basis(ctx)):
-        out = out + c * e
-    return out
-
-
-def fd_fiber_gradient(F: w.Observable, x: PhasePoint, h: float):
-    """Finite-difference oracle for :func:`fiber_gradient`."""
-    ctx = x.context
-    zero = np.zeros_like(x.J)
-    coef = [directional_derivative(F, x, zero, e, h) for e in orthonormal_basis(ctx)]
-    out = np.zeros_like(x.J)
-    for c, e in zip(coef, orthonormal_basis(ctx)):
-        out = out + c * e
-    return out
+    basis = orthonormal_basis(ctx)
+    left = [directional_derivative(F, x, e, zero, h) for e in basis]
+    fiber = [directional_derivative(F, x, zero, e, h) for e in basis]
+    return from_coordinates(ctx, left), from_coordinates(ctx, fiber)
 
 
 def fd_bracket_with(F_value, H: w.Observable, x: PhasePoint, h: float) -> float:

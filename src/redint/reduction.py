@@ -36,6 +36,7 @@ from .free_motion import (
     casimir_gradient,
     constants_map,
     pullback,
+    slot_gradients,
 )
 from .groups import (
     DEFAULT_TOL,
@@ -197,11 +198,6 @@ def word_generators(max_len: int):
     )
 
 
-def _slot_gradients(gen: w.Observable, z: DoublePoint):
-    env = {"X": z.X, "Y": z.Y}
-    return w.letter_gradient(gen, env, "X"), w.letter_gradient(gen, env, "Y")
-
-
 def pullback_differential_row(x: PhasePoint, gen: w.Observable):
     """Chart coordinates of ``d(P o constants_map)`` for one invariant word.
 
@@ -211,7 +207,7 @@ def pullback_differential_row(x: PhasePoint, gen: w.Observable):
     """
     ctx = x.context
     z = constants_map(x)
-    gX, gY = _slot_gradients(gen, z)
+    gX, gY = slot_gradients(gen, z)
     pushed = adjoint(x.g, gX)
     return basis_coordinates(ctx, np.array([lie_bracket(pushed, x.J), pushed + gY])).ravel()
 
@@ -290,7 +286,7 @@ def double_differential_matrix(z: DoublePoint, gens):
     """Stacked differentials of invariant words at a point of the double."""
     ctx = GroupContext(z.n)
     return np.array(
-        [basis_coordinates(ctx, np.array(_slot_gradients(gen, z))).ravel() for gen in gens]
+        [basis_coordinates(ctx, np.array(slot_gradients(gen, z))).ravel() for gen in gens]
     )
 
 

@@ -11,6 +11,10 @@ conjugation of all environment matrices, which is exactly the class of
 functions the rank certificates need. Every gradient returned here is the
 unique su(n) element representing the corresponding directional derivative
 with respect to the inner product ``<X, Y> = -Re tr(XY)``.
+
+Both gradients come from one occurrence loop: each occurrence of a varied
+symbol contributes a signed cyclic chain of the word's letters, and a
+per-symbol rule table says where that chain starts and how long it is.
 """
 
 from __future__ import annotations
@@ -85,9 +89,11 @@ def _word_matrices(w: TraceWord, env):
 
 def _chain(mats, start, count, n):
     """Product of ``count`` consecutive matrices starting at ``start``, cyclically."""
-    out = np.eye(n, dtype=complex)
+    if count == 0:
+        return np.eye(n, dtype=complex)
     m = len(mats)
-    for k in range(count):
+    out = mats[start % m]
+    for k in range(1, count):
         out = out @ mats[(start + k) % m]
     return out
 
@@ -109,6 +115,39 @@ def _accumulate(grad, w: TraceWord, S):
     return grad + w.coeff * project_algebra(1j * S)
 
 
+def _occurrence_gradient(obs: Observable, env, rules):
+    """Gradient summed over the occurrences of the symbols in ``rules``.
+
+    ``rules`` maps a symbol to ``(offset, extra, sign)``: an occurrence at
+    position ``i`` of a word of ``m`` letters contributes ``sign`` times the
+    cyclic chain of ``m + extra`` letters starting at ``i + offset``.
+    """
+    n = np.asarray(_resolve(obs.words[0].letters[0], env)).shape[0]
+    grad = np.zeros((n, n), dtype=complex)
+    for w in obs.words:
+        mats = _word_matrices(w, env)
+        m = len(mats)
+        S = np.zeros((n, n), dtype=complex)
+        hit = False
+        for i, lt in enumerate(w.letters):
+            rule = rules.get(lt) if isinstance(lt, str) else None
+            if rule is None:
+                continue
+            offset, extra, sign = rule
+            C = _chain(mats, i + offset, m + extra, n)
+            S = S + C if sign > 0 else S - C
+            hit = True
+        if hit:
+            grad = _accumulate(grad, w, S)
+    return grad
+
+
+# an occurrence of ``G`` contributes the cyclic chain starting at the
+# occurrence, one of ``Ginv`` minus the chain starting one step later (the
+# inverse letter ends the rotated word)
+_LEFT_GROUP_RULES = {"G": (0, 0, 1), "Ginv": (1, 0, -1)}
+
+
 def letter_gradient(obs: Observable, env, letter: str):
     """Gradient with respect to an additive shift of one symbol.
 
@@ -117,71 +156,12 @@ def letter_gradient(obs: Observable, env, letter: str):
     Used for the ``J`` slot on the phase space and for either slot of the
     double.
     """
-    n = np.asarray(_resolve(obs.words[0].letters[0], env)).shape[0]
-    grad = np.zeros((n, n), dtype=complex)
-    for w in obs.words:
-        mats = _word_matrices(w, env)
-        m = len(mats)
-        S = np.zeros((n, n), dtype=complex)
-        hit = False
-        for i, lt in enumerate(w.letters):
-            if isinstance(lt, str) and lt == letter:
-                S = S + _chain(mats, i + 1, m - 1, n)
-                hit = True
-        if hit:
-            grad = _accumulate(grad, w, S)
-    return grad
+    return _occurrence_gradient(obs, env, {letter: (1, -1, 1)})
 
 
 def left_group_gradient(obs: Observable, env):
-    """Gradient of ``g -> e^{tA} g`` variations.
-
-    Occurrences of ``G`` contribute the cyclic chain starting at the
-    occurrence, occurrences of ``Ginv`` contribute minus the chain starting
-    one step later (the inverse letter ends the rotated word).
-    """
-    n = np.asarray(_resolve(obs.words[0].letters[0], env)).shape[0]
-    grad = np.zeros((n, n), dtype=complex)
-    for w in obs.words:
-        mats = _word_matrices(w, env)
-        m = len(mats)
-        S = np.zeros((n, n), dtype=complex)
-        hit = False
-        for i, lt in enumerate(w.letters):
-            if not isinstance(lt, str):
-                continue
-            if lt == "G":
-                S = S + _chain(mats, i, m, n)
-                hit = True
-            elif lt == "Ginv":
-                S = S - _chain(mats, i + 1, m, n)
-                hit = True
-        if hit:
-            grad = _accumulate(grad, w, S)
-    return grad
-
-
-def right_group_gradient(obs: Observable, env):
-    """Gradient of ``g -> g e^{tA}`` variations; unused by the bracket."""
-    n = np.asarray(_resolve(obs.words[0].letters[0], env)).shape[0]
-    grad = np.zeros((n, n), dtype=complex)
-    for w in obs.words:
-        mats = _word_matrices(w, env)
-        m = len(mats)
-        S = np.zeros((n, n), dtype=complex)
-        hit = False
-        for i, lt in enumerate(w.letters):
-            if not isinstance(lt, str):
-                continue
-            if lt == "G":
-                S = S + _chain(mats, i + 1, m, n)
-                hit = True
-            elif lt == "Ginv":
-                S = S - _chain(mats, i, m, n)
-                hit = True
-        if hit:
-            grad = _accumulate(grad, w, S)
-    return grad
+    """Gradient of ``g -> e^{tA} g`` variations."""
+    return _occurrence_gradient(obs, env, _LEFT_GROUP_RULES)
 
 
 def substitute(obs: Observable, mapping) -> Observable:
@@ -199,49 +179,6 @@ def substitute(obs: Observable, mapping) -> Observable:
                 letters.append(lt)
         new_words.append(TraceWord(tuple(letters), w.part, w.coeff))
     return Observable(tuple(new_words))
-
-
-def format_observable(obs: Observable) -> str:
-    """Serialize to the text grammar ``coeff * Re|Im tr(W)`` joined by ``+``."""
-    parts = []
-    for w in obs.words:
-        for lt in w.letters:
-            if not isinstance(lt, str):
-                raise ValueError("constant-matrix letters are not serializable")
-        body = " ".join(w.letters)
-        parts.append(f"{w.coeff!r} * {'Re' if w.part == 're' else 'Im'} tr({body})")
-    return " + ".join(parts)
-
-
-def parse_observable(text: str) -> Observable:
-    """Parse the grammar produced by :func:`format_observable`.
-
-    Terms are joined by ``+`` and each term reads
-    ``coeff * Re|Im tr(letter letter ...)`` with letters drawn from
-    ``G Ginv J X Y``.
-    """
-    words = []
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError("empty term in observable expression")
-        try:
-            coeff_text, rest = chunk.split("*", 1)
-            coeff = float(coeff_text.strip())
-            rest = rest.strip()
-            part_text, rest = rest.split(" ", 1)
-            rest = rest.strip()
-            if not (rest.startswith("tr(") and rest.endswith(")")):
-                raise ValueError
-            letters = tuple(rest[3:-1].split())
-        except ValueError:
-            raise ValueError(f"malformed observable term: {chunk!r}") from None
-        if part_text not in ("Re", "Im"):
-            raise ValueError(f"malformed observable term: {chunk!r}")
-        if not letters:
-            raise ValueError(f"malformed observable term: {chunk!r}")
-        words.append(TraceWord(letters, "re" if part_text == "Re" else "im", coeff))
-    return Observable(tuple(words))
 
 
 def random_word(rng, alphabet, max_len=4, parts=("re", "im")) -> TraceWord:

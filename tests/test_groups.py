@@ -23,6 +23,7 @@ from redint.groups import (
     lie_bracket,
     numerical_rank,
     orthonormal_basis,
+    project_algebra,
     random_algebra,
     random_group,
 )
@@ -260,6 +261,19 @@ def test_basis_coordinates_equal_the_inner_loop_bit_for_bit(n):
     assert np.array_equal(basis_coordinates(ctx, stack.transpose(0, 2, 1)), transposed)
     assert np.array_equal(basis_coordinates(ctx, stack[None, ::2]), oracle[None, ::2])
     assert not basis_stack(ctx).flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_project_algebra_equals_the_identity_subtraction_bit_for_bit(n):
+    # the trace comes off the diagonal in place; the oracle subtracts it
+    # through a full identity matrix
+    rng = np.random.default_rng(400 + n)
+    for _ in range(50):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for X in (M, 1j * M, random_algebra(GroupContext(n), rng) @ M):
+            A = 0.5 * (X - X.conj().T)
+            oracle = A - (np.trace(A) / n) * np.eye(n)
+            assert project_algebra(X).tobytes() == oracle.tobytes()
 
 
 def test_basis_coordinates_rejects_wrong_shapes():

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from redint.groups import GroupContext, group_exp, inner, orthonormal_basis, random_algebra
+from redint.groups import (
+    GroupContext,
+    group_exp,
+    inner,
+    orthonormal_basis,
+    project_algebra,
+    random_algebra,
+    random_group,
+)
 from redint.words import (
-    Observable,
     TraceWord,
     evaluate,
-    format_observable,
     left_group_gradient,
     letter_gradient,
     observable,
-    parse_observable,
     random_observable,
-    right_group_gradient,
     substitute,
     word,
 )
@@ -67,31 +71,106 @@ def test_letter_gradient_matches_direct_differences(letter):
 def test_group_gradients_match_direct_differences():
     ctx = GroupContext(2)
     rng = np.random.default_rng(4)
-    from redint.groups import random_group
-
     g = random_group(ctx, rng)
     J = random_algebra(ctx, rng)
     h = 1e-6
     for _ in range(10):
         obs = random_observable(rng, ("G", "Ginv", "J"), max_len=4)
         left = left_group_gradient(obs, {"G": g, "Ginv": g.conj().T, "J": J})
-        right = right_group_gradient(obs, {"G": g, "Ginv": g.conj().T, "J": J})
         for e in orthonormal_basis(ctx):
-            for sgn, grad in ((1, left),):
-                gp = group_exp(h * e) @ g
-                gm = group_exp(-h * e) @ g
-                fd = (
-                    evaluate(obs, {"G": gp, "Ginv": gp.conj().T, "J": J})
-                    - evaluate(obs, {"G": gm, "Ginv": gm.conj().T, "J": J})
-                ) / (2 * h)
-                assert abs(fd - inner(e, grad)) < 1e-8
-            gp = g @ group_exp(h * e)
-            gm = g @ group_exp(-h * e)
+            gp = group_exp(h * e) @ g
+            gm = group_exp(-h * e) @ g
             fd = (
                 evaluate(obs, {"G": gp, "Ginv": gp.conj().T, "J": J})
                 - evaluate(obs, {"G": gm, "Ginv": gm.conj().T, "J": J})
             ) / (2 * h)
-            assert abs(fd - inner(e, right)) < 1e-8
+            assert abs(fd - inner(e, left)) < 1e-8
+
+
+# Reference: one loop per gradient, each chain started from the identity.
+
+
+def _reference_chain(mats, start, count, n):
+    out = np.eye(n, dtype=complex)
+    m = len(mats)
+    for k in range(count):
+        out = out @ mats[(start + k) % m]
+    return out
+
+
+def _reference_accumulate(grad, w, S):
+    if w.part == "re":
+        return grad - w.coeff * project_algebra(S)
+    return grad + w.coeff * project_algebra(1j * S)
+
+
+def _reference_matrices(w, env):
+    return [np.asarray(env[lt] if isinstance(lt, str) else lt) for lt in w.letters]
+
+
+def _reference_letter_gradient(obs, env, letter):
+    n = _reference_matrices(obs.words[0], env)[0].shape[0]
+    grad = np.zeros((n, n), dtype=complex)
+    for w in obs.words:
+        mats = _reference_matrices(w, env)
+        m = len(mats)
+        S = np.zeros((n, n), dtype=complex)
+        hit = False
+        for i, lt in enumerate(w.letters):
+            if isinstance(lt, str) and lt == letter:
+                S = S + _reference_chain(mats, i + 1, m - 1, n)
+                hit = True
+        if hit:
+            grad = _reference_accumulate(grad, w, S)
+    return grad
+
+
+def _reference_left_group_gradient(obs, env):
+    n = _reference_matrices(obs.words[0], env)[0].shape[0]
+    grad = np.zeros((n, n), dtype=complex)
+    for w in obs.words:
+        mats = _reference_matrices(w, env)
+        m = len(mats)
+        S = np.zeros((n, n), dtype=complex)
+        hit = False
+        for i, lt in enumerate(w.letters):
+            if not isinstance(lt, str):
+                continue
+            if lt == "G":
+                S = S + _reference_chain(mats, i, m, n)
+                hit = True
+            elif lt == "Ginv":
+                S = S - _reference_chain(mats, i + 1, m, n)
+                hit = True
+        if hit:
+            grad = _reference_accumulate(grad, w, S)
+    return grad
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gradients_equal_the_per_symbol_reference_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(50 + n)
+    for _ in range(40):
+        g = random_group(ctx, rng)
+        env = {"G": g, "Ginv": g.conj().T}
+        for symbol in ("J", "X", "Y"):
+            env[symbol] = random_algebra(ctx, rng)
+        constants = [random_algebra(ctx, rng), np.diag(rng.standard_normal(n))]
+        alphabet = ("G", "Ginv", "J", "X", "Y", *constants)
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            picks = rng.integers(0, len(alphabet), size=int(rng.integers(1, 8)))
+            part = ("re", "im")[int(rng.integers(0, 2))]
+            terms.append(word([alphabet[k] for k in picks], part, float(rng.standard_normal())))
+        obs = observable(*terms)
+        assert np.array_equal(
+            left_group_gradient(obs, env), _reference_left_group_gradient(obs, env)
+        )
+        for letter in ("G", "Ginv", "J", "X", "Y"):
+            assert np.array_equal(
+                letter_gradient(obs, env, letter), _reference_letter_gradient(obs, env, letter)
+            )
 
 
 def test_substitute_expands_letters():
@@ -100,28 +179,3 @@ def test_substitute_expands_letters():
     assert out.words[0].letters == ("Ginv", "J", "G", "J")
     assert out.words[0].part == "im"
     assert out.words[0].coeff == 2.0
-
-
-def test_format_parse_round_trip():
-    obs = observable(
-        word(("G", "Ginv", "J"), part="re", coeff=1.5),
-        word(("J",), part="im", coeff=-0.25),
-    )
-    text = format_observable(obs)
-    assert parse_observable(text) == obs
-
-
-def test_parse_examples_and_errors():
-    obs = parse_observable("1.0 * Re tr(G Ginv J J) + -0.5 * Im tr(J)")
-    assert len(obs.words) == 2
-    assert obs.words[0].letters == ("G", "Ginv", "J", "J")
-    assert obs.words[1].coeff == -0.5
-    for bad in ("", "Re tr(G)", "1.0 * Abs tr(G)", "1.0 * Re tr()", "1.0 * Re trace(G)"):
-        with pytest.raises(ValueError):
-            parse_observable(bad)
-
-
-def test_format_rejects_constant_letters():
-    obs = observable(word((np.eye(2), "J")))
-    with pytest.raises(ValueError):
-        format_observable(obs)
