@@ -9,14 +9,17 @@ to the two-particle trigonometric Sutherland model.
 """
 
 from .groups import (
-    DEFAULT_TOL,
+    H_FD,
+    TAU_CONS,
+    TAU_EIG,
+    TAU_FD,
+    TAU_RANK,
+    TAU_STRUCT,
     GroupContext,
     ShapeError,
     StructureError,
-    Tolerances,
     adjoint,
     centralizer_basis,
-    centralizer_dim_algebra,
     check_algebra,
     check_group,
     group_exp,

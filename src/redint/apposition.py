@@ -22,14 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (
-    DEFAULT_TOL,
+    TAU_EIG,
+    TAU_RANK,
+    TAU_STRUCT,
     GroupContext,
     StructureError,
-    Tolerances,
     basis_coordinates,
     basis_stack,
     from_coordinates,
     inner,
+    is_regular,
+    kernel_basis,
     norm,
     numerical_rank,
     orthonormal_basis,
@@ -73,24 +76,21 @@ class AppositionFrame:
     partner_basis: tuple
 
 
-def build_frame(n: int, tol: Tolerances = DEFAULT_TOL) -> AppositionFrame:
+def build_frame(n: int) -> AppositionFrame:
     """Construct and certify the frame for SU(n)."""
     ctx = GroupContext(n)
     lam = cyclic_shift(n)
     B = basis_stack(ctx)
-    M = basis_coordinates(ctx, lam @ B @ lam.conj().T - B).T
-    _, s, vh = np.linalg.svd(M)
-    kernel = vh[s <= tol.tau_rank * s[0]]
-    if kernel.shape[0] != n - 1:
+    partner = tuple(kernel_basis(ctx, basis_coordinates(ctx, lam @ B @ lam.conj().T - B).T))
+    if len(partner) != n - 1:
         raise StructureError(
-            f"stabilizer algebra of the shift has dimension {kernel.shape[0]}, expected {n - 1}"
+            f"stabilizer algebra of the shift has dimension {len(partner)}, expected {n - 1}"
         )
-    partner = tuple(from_coordinates(ctx, row) for row in kernel)
     frame = AppositionFrame(n, lam, tuple(diagonal_torus_basis(ctx)), partner)
     residual = frame_orthogonality_residual(frame)
     if residual > 1e-12:
         raise StructureError(f"torus orthogonality residual {residual:.3e} exceeds 1e-12")
-    if stacked_torus_rank(frame, tol) != 2 * (n - 1):
+    if stacked_torus_rank(frame) != 2 * (n - 1):
         raise StructureError("torus algebras overlap: stacked rank deficient")
     return frame
 
@@ -104,15 +104,15 @@ def frame_orthogonality_residual(frame: AppositionFrame) -> float:
     return worst
 
 
-def stacked_torus_rank(frame: AppositionFrame, tol: Tolerances = DEFAULT_TOL) -> int:
+def stacked_torus_rank(frame: AppositionFrame) -> int:
     """Rank of both torus bases stacked; ``2(n-1)`` means trivial intersection."""
     ctx = GroupContext(frame.n)
     rows = basis_coordinates(ctx, np.array(frame.torus_basis + frame.partner_basis))
-    rank, _ = numerical_rank(rows, tol.tau_rank)
+    rank, _ = numerical_rank(rows, TAU_RANK)
     return rank
 
 
-def random_torus_group(frame: AppositionFrame, seed, tol: Tolerances = DEFAULT_TOL):
+def random_torus_group(frame: AppositionFrame, seed):
     """Random regular element of the diagonal torus of SU(n)."""
     rng = np.random.default_rng(seed)
     n = frame.n
@@ -121,35 +121,33 @@ def random_torus_group(frame: AppositionFrame, seed, tol: Tolerances = DEFAULT_T
         phases = np.append(phases, -np.sum(phases))
         vals = np.exp(1j * phases)
         gaps = np.abs(np.subtract.outer(vals, vals))
-        if np.min(gaps[~np.eye(n, dtype=bool)]) > 10 * tol.tau_eig:
+        if np.min(gaps[~np.eye(n, dtype=bool)]) > 10 * TAU_EIG:
             return np.diag(vals)
 
 
-def random_partner_algebra(frame: AppositionFrame, seed, tol: Tolerances = DEFAULT_TOL):
+def random_partner_algebra(frame: AppositionFrame, seed):
     """Random regular element of the partner torus algebra."""
-    from .groups import is_regular
-
     rng = np.random.default_rng(seed)
     while True:
         coef = rng.standard_normal(len(frame.partner_basis))
         zeta = sum(c * v for c, v in zip(coef, frame.partner_basis))
-        if is_regular(zeta, tol):
+        if is_regular(zeta):
             return zeta
 
 
-def _check_torus_regular(g, tol: Tolerances):
+def _check_torus_regular(g):
     g = np.asarray(g)
     n = g.shape[0]
-    if np.linalg.norm(g - np.diag(np.diag(g))) > tol.tau_struct:
+    if np.linalg.norm(g - np.diag(np.diag(g))) > TAU_STRUCT:
         raise StructureError("group element is not diagonal")
     vals = np.diag(g)
     gaps = np.abs(np.subtract.outer(vals, vals))
-    if np.min(gaps[~np.eye(n, dtype=bool)]) <= tol.tau_eig:
+    if np.min(gaps[~np.eye(n, dtype=bool)]) <= TAU_EIG:
         raise StructureError("diagonal element has coinciding eigenvalues")
     return g
 
 
-def solve_moment_equation(g, zeta, tol: Tolerances = DEFAULT_TOL):
+def solve_moment_equation(g, zeta):
     """Minimal-norm ``J`` with ``J - g^{-1} J g = zeta``.
 
     The linear operator has the diagonal torus algebra as kernel for regular
@@ -157,14 +155,14 @@ def solve_moment_equation(g, zeta, tol: Tolerances = DEFAULT_TOL):
     with no diagonal component. Raises :class:`MomentSolveError` when the
     residual exceeds ``1e-10``, which signals that ``zeta`` left the image.
     """
-    g = _check_torus_regular(g, tol)
+    g = _check_torus_regular(g)
     n = g.shape[0]
     ctx = GroupContext(n)
     B = basis_stack(ctx)
     ginv = g.conj().T
     M = basis_coordinates(ctx, B - ginv @ B @ g).T
     rhs = basis_coordinates(ctx, zeta)
-    coef = np.linalg.pinv(M, rcond=tol.tau_rank) @ rhs
+    coef = np.linalg.pinv(M, rcond=TAU_RANK) @ rhs
     J = from_coordinates(ctx, coef)
     residual = norm(J - ginv @ J @ g - np.asarray(zeta))
     if residual > 1e-10:

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import words as w
 from .groups import (
-    DEFAULT_TOL,
+    H_FD,
+    TAU_RANK,
     GroupContext,
     ShapeError,
-    Tolerances,
     group_exp,
     inner,
     lie_bracket,
@@ -32,7 +32,7 @@ from .groups import (
     orthonormal_basis,
     project_algebra,
 )
-from .phase import PhasePoint, act, poisson_bracket
+from .phase import PhasePoint, act, fd_directional, poisson_bracket
 
 # part/sign of Re[i^k tr(W^k)] as a function of k mod 4
 _CASIMIR_PART = {0: ("re", 1.0), 1: ("im", -1.0), 2: ("re", -1.0), 3: ("im", 1.0)}
@@ -197,13 +197,10 @@ def constants_map_jacobian(x: PhasePoint, h: float):
     Columns follow :func:`chart_directions`; rows flatten both components of
     the double into real coordinates.
     """
-    ctx = x.context
-    cols = []
-    for a, b in chart_directions(ctx):
-        plus = constants_map(PhasePoint(group_exp(h * a) @ x.g, x.J + h * b))
-        minus = constants_map(PhasePoint(group_exp(-h * a) @ x.g, x.J - h * b))
-        cols.append((_flatten_double(plus) - _flatten_double(minus)) / (2.0 * h))
-    return np.column_stack(cols)
+    flat = lambda y: _flatten_double(constants_map(y))
+    return np.column_stack(
+        [fd_directional(flat, x, a, b, h) for a, b in chart_directions(x.context)]
+    )
 
 
 def constants_map_differential(x: PhasePoint, a, b):
@@ -217,13 +214,12 @@ def constants_map_differential(x: PhasePoint, a, b):
     return dX, b
 
 
-def constants_map_rank(x: PhasePoint, tol: Tolerances = DEFAULT_TOL):
+def constants_map_rank(x: PhasePoint):
     """Numerical rank of the Jacobian; ``dim_phase - rank`` at regular momenta.
 
     Returns ``(rank, singular_values)``.
     """
-    M = constants_map_jacobian(x, tol.h_fd)
-    return numerical_rank(M, tol.tau_rank)
+    return numerical_rank(constants_map_jacobian(x, H_FD), TAU_RANK)
 
 
 def casimir_difference(z: DoublePoint, k: int) -> float:

@@ -28,35 +28,13 @@ class StructureError(ValueError):
     """A matrix violates a structural invariant (anti-Hermiticity, unitarity, ...)."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared by every certificate in the package.
-
-    tau_struct   structural residual bound (anti-Hermiticity, unitarity)
-    tau_rank     relative singular-value cutoff for numerical ranks
-    h_fd         finite-difference step
-    tau_fd       bound for analytic-vs-finite-difference gradient agreement
-    tau_cons     conservation bound along exact flows
-    tau_eig      eigenvalue-gap threshold below which an element counts as
-                 non-regular
-    """
-
-    tau_struct: float = 1e-10
-    tau_rank: float = 1e-8
-    h_fd: float = 1e-5
-    tau_fd: float = 1e-6
-    tau_cons: float = 1e-10
-    tau_eig: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("tau_struct", "tau_rank", "h_fd", "tau_fd", "tau_cons", "tau_eig"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not self.tau_struct < self.tau_fd:
-            raise ValueError("tau_struct must be smaller than tau_fd")
-
-
-DEFAULT_TOL = Tolerances()
+# Numerical thresholds shared by every certificate in the package.
+TAU_STRUCT = 1e-10  # structural residual bound (anti-Hermiticity, unitarity)
+TAU_RANK = 1e-8  # relative singular-value cutoff for numerical ranks
+H_FD = 1e-5  # finite-difference step
+TAU_FD = 1e-6  # bound for analytic-vs-finite-difference gradient agreement
+TAU_CONS = 1e-10  # conservation bound along exact flows
+TAU_EIG = 1e-8  # eigenvalue-gap threshold below which an element counts as non-regular
 
 
 @dataclass(frozen=True)
@@ -85,10 +63,10 @@ class GroupContext:
         return 2 * self.dim_g
 
 
-def _require_square(mat, name="matrix"):
+def _require_square(mat):
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {mat.shape}")
+        raise ShapeError(f"matrix must be square, got shape {mat.shape}")
     return mat
 
 
@@ -129,29 +107,29 @@ def project_algebra(M):
     return A
 
 
-def check_algebra(X, tol: Tolerances = DEFAULT_TOL):
+def check_algebra(X):
     """Raise :class:`StructureError` unless ``X`` is traceless anti-Hermitian."""
     X = _require_square(X)
     scale = max(1.0, float(np.linalg.norm(X)))
-    if np.linalg.norm(X + X.conj().T) > tol.tau_struct * scale:
+    if np.linalg.norm(X + X.conj().T) > TAU_STRUCT * scale:
         raise StructureError("matrix is not anti-Hermitian")
-    if abs(np.trace(X)) > tol.tau_struct * scale:
+    if abs(np.trace(X)) > TAU_STRUCT * scale:
         raise StructureError("matrix is not traceless")
     return X
 
 
-def check_group(g, tol: Tolerances = DEFAULT_TOL):
+def check_group(g):
     """Raise :class:`StructureError` unless ``g`` is special unitary."""
     g = _require_square(g)
     n = g.shape[0]
-    if np.linalg.norm(g.conj().T @ g - np.eye(n)) > tol.tau_struct:
+    if np.linalg.norm(g.conj().T @ g - np.eye(n)) > TAU_STRUCT:
         raise StructureError("matrix is not unitary")
-    if abs(np.linalg.det(g) - 1.0) > tol.tau_struct:
+    if abs(np.linalg.det(g) - 1.0) > TAU_STRUCT:
         raise StructureError("matrix does not have unit determinant")
     return g
 
 
-def group_exp(X, tol: Tolerances = DEFAULT_TOL):
+def group_exp(X):
     """Exponential su(n) -> SU(n) through the eigendecomposition of ``iX``.
 
     ``iX`` is Hermitian for anti-Hermitian input, so the eigendecomposition
@@ -159,7 +137,7 @@ def group_exp(X, tol: Tolerances = DEFAULT_TOL):
     unitary by polar projection so that invariants do not drift along long
     flows.
     """
-    X = check_algebra(X, tol)
+    X = check_algebra(X)
     w, V = np.linalg.eigh(1j * X)
     U = (V * np.exp(-1j * w)) @ V.conj().T
     # polar projection onto the unitary group
@@ -264,43 +242,26 @@ def numerical_rank(M, tau_rank: float):
     if M.size == 0:
         return 0, np.zeros(0)
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s
     return int(np.sum(s > tau_rank * s[0])), s
 
 
-def _ad_matrix(ctx: GroupContext, J):
-    """Matrix of ``Y -> [J, Y]`` on the orthonormal basis of su(n)."""
-    B = basis_stack(ctx)
-    return basis_coordinates(ctx, J @ B - B @ J).T
+def kernel_basis(ctx: GroupContext, M):
+    """Algebra elements spanning the numerical kernel of the square matrix
+    ``M`` acting on :func:`basis_coordinates`: the right singular vectors
+    with singular value at most ``TAU_RANK * sigma_max``."""
+    _, s, vh = np.linalg.svd(M)
+    return [from_coordinates(ctx, row) for row in vh[s <= TAU_RANK * s[0]]]
 
 
-def centralizer_dim_algebra(J, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Dimension of the kernel of ``ad_J`` on su(n).
-
-    Equals ``n - 1`` exactly when ``J`` is regular.
-    """
-    J = _require_square(J)
-    ctx = GroupContext(J.shape[0])
-    M = _ad_matrix(ctx, J)
-    rank, _ = numerical_rank(M, tol.tau_rank)
-    return ctx.dim_g - rank
-
-
-def centralizer_basis(J, tol: Tolerances = DEFAULT_TOL):
+def centralizer_basis(J):
     """Orthonormal basis of the kernel of ``ad_J`` on su(n)."""
     J = _require_square(J)
     ctx = GroupContext(J.shape[0])
-    M = _ad_matrix(ctx, J)
-    _, s, vh = np.linalg.svd(M)
-    if s[0] > 0.0:
-        keep = s <= tol.tau_rank * s[0]
-    else:
-        keep = np.ones(s.size, dtype=bool)
-    return [from_coordinates(ctx, row) for row in vh[keep]]
+    B = basis_stack(ctx)
+    return kernel_basis(ctx, basis_coordinates(ctx, J @ B - B @ J).T)
 
 
-def joint_centralizer_dim(algebra_items=(), group_items=(), tol: Tolerances = DEFAULT_TOL) -> int:
+def joint_centralizer_dim(algebra_items=(), group_items=()) -> int:
     """Dimension of ``{Y in su(n) : [Y, J_i] = 0 and Y g_j = g_j Y for all items}``.
 
     Algebra and group constraints are stacked into one linear map on su(n)
@@ -324,15 +285,15 @@ def joint_centralizer_dim(algebra_items=(), group_items=(), tol: Tolerances = DE
         D = (B @ g - g @ B).reshape(ctx.dim_g, n * n)
         blocks.append(np.concatenate([D.real, D.imag], axis=1).T)
     stacked = np.vstack(blocks)
-    rank, _ = numerical_rank(stacked, tol.tau_rank)
+    rank, _ = numerical_rank(stacked, TAU_RANK)
     return ctx.dim_g - rank
 
 
-def is_regular(J, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether all eigenvalue gaps of the Hermitian matrix ``iJ`` exceed ``tau_eig``."""
+def is_regular(J) -> bool:
+    """Whether all eigenvalue gaps of the Hermitian matrix ``iJ`` exceed ``TAU_EIG``."""
     J = _require_square(J)
     w = np.linalg.eigvalsh(1j * J)
     gaps = np.diff(np.sort(w))
     if gaps.size == 0:
         return True
-    return bool(np.min(gaps) > tol.tau_eig)
+    return bool(np.min(gaps) > TAU_EIG)

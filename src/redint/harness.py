@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,8 +21,12 @@ from . import reduction as rd
 from . import su2
 from . import words as w
 from .groups import (
+    H_FD,
+    TAU_CONS,
+    TAU_EIG,
+    TAU_FD,
+    TAU_STRUCT,
     GroupContext,
-    Tolerances,
     inner,
     is_regular,
     joint_centralizer_dim,
@@ -57,7 +61,6 @@ class ExperimentConfig:
     seed: int = 12345
     samples: int = 50
     max_word_len: int = 4
-    tolerances: Tolerances = field(default_factory=Tolerances)
     t_max: float = 10.0
     output_path: str | None = None
 
@@ -138,7 +141,7 @@ def _holds(observed, spec):
 # individual checks
 
 
-def _check_bracket_axioms(cfg: ExperimentConfig, tol: Tolerances):
+def _check_bracket_axioms(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     worst_anti = worst_leibniz = worst_jacobi = worst_product_fd = 0.0
     for rng, x in _sample_points(cfg, ctx, cfg.samples):
@@ -157,8 +160,8 @@ def _check_bracket_axioms(cfg: ExperimentConfig, tol: Tolerances):
         prod = lambda y: evaluate(F, y) * evaluate(G, y)
         zero = np.zeros_like(x.J)
         for e in orthonormal_basis(ctx):
-            fd_l = fd_directional(prod, x, e, zero, tol.h_fd)
-            fd_f = fd_directional(prod, x, zero, e, tol.h_fd)
+            fd_l = fd_directional(prod, x, e, zero, H_FD)
+            fd_f = fd_directional(prod, x, zero, e, H_FD)
             worst_product_fd = max(
                 worst_product_fd,
                 abs(fd_l - inner(e, left)),
@@ -168,7 +171,7 @@ def _check_bracket_axioms(cfg: ExperimentConfig, tol: Tolerances):
         total = 0.0
         for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
             # {A, {B, C}} = -d({B, C}) along the Hamiltonian direction of A
-            total += -fd_bracket_with(lambda y: poisson_bracket(B, C, y), A, x, tol.h_fd)
+            total += -fd_bracket_with(lambda y: poisson_bracket(B, C, y), A, x, H_FD)
         worst_jacobi = max(worst_jacobi, abs(total))
     observed = {
         "max_antisymmetry_defect": worst_anti,
@@ -181,13 +184,13 @@ def _check_bracket_axioms(cfg: ExperimentConfig, tol: Tolerances):
         "max_leibniz_defect": _bound(1e-9, "le", "derivation property of the canonical bracket"),
         "max_jacobi_defect": _bound(1e-6, "le", "Jacobi identity of the canonical bracket"),
         "max_product_gradient_fd_defect": _bound(
-            tol.tau_fd, "le", "product-rule gradients agree with finite differences"
+            TAU_FD, "le", "product-rule gradients agree with finite differences"
         ),
     }
     return observed, expected
 
 
-def _check_psi_poisson(cfg: ExperimentConfig, tol: Tolerances):
+def _check_psi_poisson(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     worst = 0.0
     for rng, x in _sample_points(cfg, ctx, cfg.samples):
@@ -206,7 +209,7 @@ def _check_psi_poisson(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_flow_conservation(cfg: ExperimentConfig, tol: Tolerances):
+def _check_flow_conservation(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     t_grid = np.arange(0.0, cfg.t_max + 1e-12, 0.5)
     worst = 0.0
@@ -216,20 +219,20 @@ def _check_flow_conservation(cfg: ExperimentConfig, tol: Tolerances):
     observed = {"max_drift": worst}
     expected = {
         "max_drift": _bound(
-            tol.tau_cons, "le", "constancy of the constants map along the free flows"
+            TAU_CONS, "le", "constancy of the constants map along the free flows"
         )
     }
     return observed, expected
 
 
-def _check_dpsi_rank(cfg: ExperimentConfig, tol: Tolerances):
+def _check_dpsi_rank(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     ranks = []
     tail = 0.0
     for _, x in _sample_points(cfg, ctx, cfg.samples):
-        if not is_regular(x.J, tol):
+        if not is_regular(x.J):
             continue
-        r, s = fm.constants_map_rank(x, tol)
+        r, s = fm.constants_map_rank(x)
         ranks.append(r)
         if r < s.size:
             tail = max(tail, float(s[r] / s[0]))
@@ -237,7 +240,7 @@ def _check_dpsi_rank(cfg: ExperimentConfig, tol: Tolerances):
         random_phase_point(ctx, sample_rng(cfg.seed, cfg.samples)).g,
         np.zeros((ctx.n, ctx.n), dtype=complex),
     )
-    rank_zero, _ = fm.constants_map_rank(zero, tol)
+    rank_zero, _ = fm.constants_map_rank(zero)
     observed = {
         "min_rank": min(ranks, default=-1),
         "max_rank": max(ranks, default=-1),
@@ -255,11 +258,11 @@ def _check_dpsi_rank(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_strata_census(cfg: ExperimentConfig, tol: Tolerances):
+def _check_strata_census(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     hits = {"regular_momentum": 0, "principal": 0, "image_principal": 0, "regular_moment": 0}
     for _, x in _sample_points(cfg, ctx, cfg.samples):
-        flags = rd.classify(x, tol)
+        flags = rd.classify(x)
         for key in hits:
             hits[key] += int(getattr(flags, key))
     observed = {key: hits[key] / cfg.samples for key in hits}
@@ -270,19 +273,19 @@ def _check_strata_census(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_reduced_ham_span(cfg: ExperimentConfig, tol: Tolerances):
+def _check_reduced_ham_span(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     spans = []
     violations = 0
     for _, x in _sample_points(cfg, ctx, cfg.samples):
-        flags = rd.classify(x, tol)
+        flags = rd.classify(x)
         if not (flags.principal and flags.regular_momentum):
             continue
-        span = rd.reduced_hamiltonian_span(x, tol)
+        span = rd.reduced_hamiltonian_span(x)
         if flags.image_principal:
             spans.append(span)
         z = fm.constants_map(x)
-        stab = joint_centralizer_dim([z.X, z.Y], [], tol)
+        stab = joint_centralizer_dim([z.X, z.Y], [])
         if ctx.rank - span > stab:
             violations += 1
     observed = {
@@ -300,15 +303,15 @@ def _check_reduced_ham_span(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_reduced_const_span(cfg: ExperimentConfig, tol: Tolerances):
+def _check_reduced_const_span(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     finals = []
     plateau_at = 0
     monotone = True
     for _, x in _sample_points(cfg, ctx, cfg.samples):
-        if not rd.classify(x, tol).image_principal:
+        if not rd.classify(x).image_principal:
             continue
-        sweep = rd.span_plateau(x, _word_cap(cfg), tol)
+        sweep = rd.span_plateau(x, _word_cap(cfg))
         finals.append(sweep[-1])
         if any(b < a for a, b in zip(sweep, sweep[1:])):
             monotone = False
@@ -332,7 +335,7 @@ def _check_reduced_const_span(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_centrality(cfg: ExperimentConfig, tol: Tolerances):
+def _check_centrality(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(min(cfg.max_word_len, 4))
     worst = 0.0
@@ -347,14 +350,14 @@ def _check_centrality(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_leaf_codim(cfg: ExperimentConfig, tol: Tolerances):
+def _check_leaf_codim(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     values = []
     for _, x in _sample_points(cfg, ctx, cfg.samples):
-        flags = rd.classify(x, tol)
+        flags = rd.classify(x)
         if not (flags.principal and flags.regular_moment):
             continue
-        values.append(rd.leaf_codim(x, tol))
+        values.append(rd.leaf_codim(x))
     observed = {"min_codim": min(values, default=-1), "max_codim": max(values, default=-1)}
     expected = {
         "min_codim": _bound(
@@ -367,15 +370,15 @@ def _check_leaf_codim(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_invariant_span_double(cfg: ExperimentConfig, tol: Tolerances):
+def _check_invariant_span_double(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(_word_cap(cfg))
     mismatches = 0
     for i in range(cfg.samples):
         rng = sample_rng(cfg.seed, i)
         z = fm.DoublePoint(random_algebra(ctx, rng), random_algebra(ctx, rng))
-        span = rd.invariant_span_double(z, gens, tol)
-        if span != 2 * ctx.dim_g - rd.double_orbit_dim(z, tol):
+        span = rd.invariant_span_double(z, gens)
+        if span != 2 * ctx.dim_g - rd.double_orbit_dim(z):
             mismatches += 1
     observed = {"generic_mismatches": mismatches}
     expected = {
@@ -386,9 +389,9 @@ def _check_invariant_span_double(cfg: ExperimentConfig, tol: Tolerances):
     if cfg.n == 2:
         X = random_algebra(ctx, sample_rng(cfg.seed, cfg.samples))
         zd = fm.DoublePoint(X, X)
-        span_d = rd.invariant_span_double(zd, gens, tol)
+        span_d = rd.invariant_span_double(zd, gens)
         observed["diagonal_span"] = span_d
-        observed["diagonal_orbit_codim"] = 2 * ctx.dim_g - rd.double_orbit_dim(zd, tol)
+        observed["diagonal_orbit_codim"] = 2 * ctx.dim_g - rd.double_orbit_dim(zd)
         expected["diagonal_span"] = _bound(
             4,
             "eq",
@@ -402,14 +405,14 @@ def _check_invariant_span_double(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_apposition(cfg: ExperimentConfig, tol: Tolerances):
-    frame = ap.build_frame(cfg.n, tol)
+def _check_apposition(cfg: ExperimentConfig):
+    frame = ap.build_frame(cfg.n)
     lam = frame.shift
     eigphases = np.sort(np.angle(np.linalg.eigvals(lam)))
     gaps = np.diff(np.concatenate([eigphases, [eigphases[0] + 2 * np.pi]]))
     observed = {
         "orthogonality_residual": ap.frame_orthogonality_residual(frame),
-        "stacked_rank": ap.stacked_torus_rank(frame, tol),
+        "stacked_rank": ap.stacked_torus_rank(frame),
         "det_residual": abs(np.linalg.det(lam) - 1.0),
         "unitarity_residual": float(np.linalg.norm(lam.conj().T @ lam - np.eye(cfg.n))),
         "min_eigenphase_gap": float(np.min(gaps)),
@@ -421,17 +424,17 @@ def _check_apposition(cfg: ExperimentConfig, tol: Tolerances):
         "stacked_rank": _bound(
             2 * (cfg.n - 1), "eq", "the two torus algebras intersect trivially"
         ),
-        "det_residual": _bound(tol.tau_struct, "le", "the shift matrix is special"),
-        "unitarity_residual": _bound(tol.tau_struct, "le", "the shift matrix is unitary"),
-        "min_eigenphase_gap": _bound(tol.tau_eig, "ge", "the shift matrix is regular"),
+        "det_residual": _bound(TAU_STRUCT, "le", "the shift matrix is special"),
+        "unitarity_residual": _bound(TAU_STRUCT, "le", "the shift matrix is unitary"),
+        "min_eigenphase_gap": _bound(TAU_EIG, "ge", "the shift matrix is regular"),
         "torus_dim": _bound(cfg.n - 1, "eq", "maximal torus dimension"),
         "partner_dim": _bound(cfg.n - 1, "eq", "maximal torus dimension"),
     }
     return observed, expected
 
 
-def _check_moment_equation(cfg: ExperimentConfig, tol: Tolerances):
-    frame = ap.build_frame(cfg.n, tol)
+def _check_moment_equation(cfg: ExperimentConfig):
+    frame = ap.build_frame(cfg.n)
     ctx = GroupContext(cfg.n)
     worst_res = 0.0
     isotropy_viol = 0
@@ -439,12 +442,12 @@ def _check_moment_equation(cfg: ExperimentConfig, tol: Tolerances):
     worst_shift = 0.0
     for i in range(cfg.samples):
         rng = sample_rng(cfg.seed, i)
-        g = ap.random_torus_group(frame, rng, tol)
-        zeta = ap.random_partner_algebra(frame, rng, tol)
-        J = ap.solve_moment_equation(g, zeta, tol)
+        g = ap.random_torus_group(frame, rng)
+        zeta = ap.random_partner_algebra(frame, rng)
+        J = ap.solve_moment_equation(g, zeta)
         res = norm(J - g.conj().T @ J @ g - zeta)
         worst_res = max(worst_res, res)
-        if joint_centralizer_dim([J], [g], tol) != 0:
+        if joint_centralizer_dim([J], [g]) != 0:
             isotropy_viol += 1
         diag_part = np.linalg.norm(np.diag(np.diag(J)))
         worst_kernel = max(worst_kernel, float(diag_part))
@@ -474,7 +477,7 @@ def _check_moment_equation(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_su2_energy(cfg: ExperimentConfig, tol: Tolerances):
+def _check_su2_energy(cfg: ExperimentConfig):
     worst_energy = worst_moment = worst_image = 0.0
     for x_val in su2.X_GRID:
         for q in su2.Q_GRID:
@@ -513,10 +516,10 @@ def _check_su2_energy(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_su2_exceptional(cfg: ExperimentConfig, tol: Tolerances):
+def _check_su2_exceptional(cfg: ExperimentConfig):
     stab_ok = span_ok = min_ok = True
     for x_val in su2.X_GRID:
-        audit = su2.exceptional_point_audit(x_val, tol)
+        audit = su2.exceptional_point_audit(x_val)
         stab_ok &= audit.image_stabilizer_dim == 1
         span_ok &= audit.projected_span == 0
         min_ok &= audit.min_attained_at_exceptional
@@ -528,7 +531,7 @@ def _check_su2_exceptional(cfg: ExperimentConfig, tol: Tolerances):
         if abs(q - su2.EXCEPTIONAL_Q) < 1e-3 and abs(p) < 1e-3:
             continue
         z = fm.constants_map(su2.slice_point(su2.SliceCoords(q, p, 1.0)))
-        if joint_centralizer_dim([z.X, z.Y], [], tol) != 0:
+        if joint_centralizer_dim([z.X, z.Y], []) != 0:
             off_viol += 1
     observed = {
         "stabilizer_dim_is_one": int(stab_ok),
@@ -553,13 +556,9 @@ def _check_su2_exceptional(cfg: ExperimentConfig, tol: Tolerances):
     return observed, expected
 
 
-def _check_su2_dynamics(cfg: ExperimentConfig, tol: Tolerances):
-    comp = su2.reduced_dynamics_match(
-        su2.SliceCoords(np.pi / 3.0, 0.0, 1.0), T=2.0, steps=10_000, tol=tol
-    )
-    eq = su2.reduced_dynamics_match(
-        su2.SliceCoords(su2.EXCEPTIONAL_Q, 0.0, 1.0), T=2.0, steps=2_000, tol=tol
-    )
+def _check_su2_dynamics(cfg: ExperimentConfig):
+    comp = su2.reduced_dynamics_match(su2.SliceCoords(np.pi / 3.0, 0.0, 1.0), T=2.0, steps=10_000)
+    eq = su2.reduced_dynamics_match(su2.SliceCoords(su2.EXCEPTIONAL_Q, 0.0, 1.0), T=2.0, steps=2_000)
     observed = {
         "max_deviation": comp.max_deviation,
         "oracle_energy_drift": comp.energy_drift,
@@ -604,7 +603,7 @@ def run_check(name: str, cfg: ExperimentConfig) -> ExperimentReport:
     if name not in CHECKS:
         raise UsageError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     start = time.perf_counter()
-    observed, expected = CHECKS[name](cfg, cfg.tolerances)
+    observed, expected = CHECKS[name](cfg)
     wall = int(round(1000.0 * (time.perf_counter() - start)))
     passed = all(_holds(observed[key], spec) for key, spec in expected.items())
     observed = {k: (float(v) if isinstance(v, np.floating) else v) for k, v in observed.items()}
@@ -637,15 +636,13 @@ def emit_plot_data(check: str, cfg: ExperimentConfig):
     Returns ``(header, rows)``.
     """
     if check == "su2-dynamics":
-        comp = su2.reduced_dynamics_match(
-            su2.SliceCoords(np.pi / 3.0, 0.0, 1.0), T=2.0, steps=10_000, tol=cfg.tolerances
-        )
+        comp = su2.reduced_dynamics_match(su2.SliceCoords(np.pi / 3.0, 0.0, 1.0), T=2.0, steps=10_000)
         return su2.trajectory_csv_rows(comp)
     if check == "reduced-const-span":
         ctx = GroupContext(cfg.n)
         for _, x in _sample_points(cfg, ctx, cfg.samples):
-            if rd.classify(x, cfg.tolerances).image_principal:
-                sweep = rd.span_plateau(x, _word_cap(cfg), cfg.tolerances)
+            if rd.classify(x).image_principal:
+                sweep = rd.span_plateau(x, _word_cap(cfg))
                 rows = [f"{m + 1},{r}" for m, r in enumerate(sweep)]
                 return "max_len,rank", rows
         raise UsageError("no sample landed on the required stratum")

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import words as w
 from .groups import (
-    DEFAULT_TOL,
+    H_FD,
     GroupContext,
     ShapeError,
-    Tolerances,
     from_coordinates,
     group_exp,
     inner,
@@ -106,8 +105,9 @@ def shift(x: PhasePoint, a, b, t: float) -> PhasePoint:
     return PhasePoint(group_exp(t * a) @ x.g, x.J + t * b)
 
 
-def fd_directional(F_value, x: PhasePoint, a, b, h: float) -> float:
-    """Central finite difference of a point function along the chart curve."""
+def fd_directional(F_value, x: PhasePoint, a, b, h: float):
+    """Central finite difference of a scalar- or array-valued point function
+    along the chart curve."""
     return (F_value(shift(x, a, b, h)) - F_value(shift(x, a, b, -h))) / (2.0 * h)
 
 
@@ -193,9 +193,7 @@ def action_derivative(F: w.Observable, X, x: PhasePoint, h: float) -> float:
     return (plus - minus) / (2.0 * h)
 
 
-def moment_generates_defect(
-    F: w.Observable, X, x: PhasePoint, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def moment_generates_defect(F: w.Observable, X, x: PhasePoint) -> float:
     """``|{F, <moment, X>}(x) - d/dt F(act(e^{tX}, x))|``.
 
     A small value certifies that the moment map generates the conjugation
@@ -205,7 +203,7 @@ def moment_generates_defect(
     if not np.any(X):
         return abs(poisson_bracket(F, moment_observable(X), x))
     analytic = poisson_bracket(F, moment_observable(X), x)
-    numeric = action_derivative(F, X, x, tol.h_fd)
+    numeric = action_derivative(F, X, x, H_FD)
     return abs(analytic - numeric)
 
 

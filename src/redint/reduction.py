@@ -16,9 +16,9 @@ no chart on the orbit space is ever constructed. The certificates are
 * ``invariant_span_double``      span of invariant-word differentials on the
   double, compared against the orbit codimension.
 
-All spans are measured by rank-revealing SVD with the relative cutoff from
-:class:`redint.groups.Tolerances`; span operations return the computed
-integer for any input stratum rather than failing.
+All spans are measured by rank-revealing SVD with the relative cutoff
+:data:`redint.groups.TAU_RANK`; span operations return the computed integer
+for any input stratum rather than failing.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from .free_motion import (
     slot_gradients,
 )
 from .groups import (
-    DEFAULT_TOL,
+    TAU_RANK,
     GroupContext,
     StructureError,
-    Tolerances,
     adjoint,
     basis_coordinates,
     basis_stack,
@@ -82,22 +81,22 @@ class StratumFlags:
     regular_moment: bool
 
 
-def classify(x: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> StratumFlags:
+def classify(x: PhasePoint) -> StratumFlags:
     """Compute all stratum flags of ``x`` at the Lie-algebra level.
 
     ``image_principal`` implies ``principal`` by construction, matching the
     containment of the underlying strata.
     """
-    regular_momentum = is_regular(x.J, tol)
-    principal = joint_centralizer_dim([x.J], [x.g], tol) == 0
+    regular_momentum = is_regular(x.J)
+    principal = joint_centralizer_dim([x.J], [x.g]) == 0
     z = constants_map(x)
     image_principal = (
         principal
         and regular_momentum
-        and is_regular(z.X, tol)
-        and joint_centralizer_dim([z.X, z.Y], [], tol) == 0
+        and is_regular(z.X)
+        and joint_centralizer_dim([z.X, z.Y], []) == 0
     )
-    regular_moment = is_regular(moment_map(x), tol)
+    regular_moment = is_regular(moment_map(x))
     return StratumFlags(regular_momentum, principal, image_principal, regular_moment)
 
 
@@ -145,15 +144,15 @@ def gauge_matrix(x: PhasePoint):
     )
 
 
-def quotient_rank(V, W, tau_rank: float) -> int:
+def quotient_rank(V, W) -> int:
     """``rank([V; W]) - rank(W)``, the dimension of the span of the rows of
     ``V`` projected along the gauge rows ``W``."""
-    joint, _ = numerical_rank(np.vstack([V, W]), tau_rank)
-    base, _ = numerical_rank(W, tau_rank)
+    joint, _ = numerical_rank(np.vstack([V, W]), TAU_RANK)
+    base, _ = numerical_rank(W, TAU_RANK)
     return joint - base
 
 
-def reduced_hamiltonian_span(x: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> int:
+def reduced_hamiltonian_span(x: PhasePoint) -> int:
     """Projected span of the commuting Hamiltonian fields at ``x``.
 
     Equals ``rank`` on the stratum where the constants-map image has a
@@ -162,7 +161,7 @@ def reduced_hamiltonian_span(x: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> in
     """
     ctx = x.context
     V = np.vstack([tangent_coordinates(ctx, v) for v in hamiltonian_directions(x)])
-    return quotient_rank(V, gauge_matrix(x), tol.tau_rank)
+    return quotient_rank(V, gauge_matrix(x))
 
 
 def _dedup_key(letters):
@@ -217,18 +216,18 @@ def constants_differential_matrix(x: PhasePoint, gens):
     return np.vstack([pullback_differential_row(x, gen) for gen in gens])
 
 
-def reduced_constants_span(x: PhasePoint, gens, tol: Tolerances = DEFAULT_TOL) -> int:
+def reduced_constants_span(x: PhasePoint, gens) -> int:
     """Rank of the stacked differentials of the pulled-back generators.
 
     Invariant functions already annihilate the gauge distribution, so this
     upstairs rank equals the span of the reduced differentials; it plateaus
     at ``dim_g - rank`` once the generating set is rich enough.
     """
-    rank, _ = numerical_rank(constants_differential_matrix(x, gens), tol.tau_rank)
+    rank, _ = numerical_rank(constants_differential_matrix(x, gens), TAU_RANK)
     return rank
 
 
-def span_plateau(x: PhasePoint, max_len: int, tol: Tolerances = DEFAULT_TOL):
+def span_plateau(x: PhasePoint, max_len: int):
     """Sweep ``reduced_constants_span`` over word length; returns the list of
     ranks for lengths ``1..max_len``. The generators of each length lead
     ``word_generators(max_len)``, so each rank is taken on leading rows."""
@@ -236,7 +235,7 @@ def span_plateau(x: PhasePoint, max_len: int, tol: Tolerances = DEFAULT_TOL):
     lengths = [len(gen.words[0].letters) for gen in gens]
     D = constants_differential_matrix(x, gens)
     return [
-        numerical_rank(D[: bisect_right(lengths, m)], tol.tau_rank)[0]
+        numerical_rank(D[: bisect_right(lengths, m)], TAU_RANK)[0]
         for m in range(1, max_len + 1)
     ]
 
@@ -270,7 +269,7 @@ def moment_casimir_row(x: PhasePoint, k: int):
     return np.concatenate([-coords[0], coords[1]])
 
 
-def leaf_codim(x: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> int:
+def leaf_codim(x: PhasePoint) -> int:
     """Independence count of ``C_k o moment_map`` transverse to the gauge
     directions; expected ``rank`` where the moment value is regular.
 
@@ -279,7 +278,7 @@ def leaf_codim(x: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> int:
     rather than a correction.
     """
     D = np.vstack([moment_casimir_row(x, k) for k in range(2, x.context.n + 1)])
-    return quotient_rank(D, gauge_matrix(x), tol.tau_rank)
+    return quotient_rank(D, gauge_matrix(x))
 
 
 def double_differential_matrix(z: DoublePoint, gens):
@@ -290,31 +289,31 @@ def double_differential_matrix(z: DoublePoint, gens):
     )
 
 
-def invariant_span_double(z: DoublePoint, gens, tol: Tolerances = DEFAULT_TOL) -> int:
+def invariant_span_double(z: DoublePoint, gens) -> int:
     """Rank of the invariant-word differentials at ``z``."""
-    rank, _ = numerical_rank(double_differential_matrix(z, gens), tol.tau_rank)
+    rank, _ = numerical_rank(double_differential_matrix(z, gens), TAU_RANK)
     return rank
 
 
-def double_orbit_dim(z: DoublePoint, tol: Tolerances = DEFAULT_TOL) -> int:
+def double_orbit_dim(z: DoublePoint) -> int:
     """Dimension of the conjugation orbit through ``z``."""
     ctx = GroupContext(z.n)
-    return ctx.dim_g - joint_centralizer_dim([z.X, z.Y], [], tol)
+    return ctx.dim_g - joint_centralizer_dim([z.X, z.Y], [])
 
 
-def hamiltonian_span_inside_constants(x: PhasePoint, gens, tol: Tolerances = DEFAULT_TOL) -> bool:
+def hamiltonian_span_inside_constants(x: PhasePoint, gens) -> bool:
     """Whether each ``d(C_k(J))`` lies in the span of the pulled-back
     constants' differentials, certifying the containment of the Hamiltonian
     ring in the ring of constants of motion."""
     ctx = x.context
     D = constants_differential_matrix(x, gens)
-    base, _ = numerical_rank(D, tol.tau_rank)
+    base, _ = numerical_rank(D, TAU_RANK)
     for k in range(2, ctx.n + 1):
         grad = casimir_gradient(k, x.J)
         row = np.concatenate(
             [np.zeros(ctx.dim_g), basis_coordinates(ctx, grad)]
         )
-        joint, _ = numerical_rank(np.vstack([D, row]), tol.tau_rank)
+        joint, _ = numerical_rank(np.vstack([D, row]), TAU_RANK)
         if joint != base:
             return False
     return True

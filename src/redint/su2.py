@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .free_motion import casimir, constants_map, free_flow
-from .groups import DEFAULT_TOL, Tolerances
+from .groups import TAU_EIG, joint_centralizer_dim
 from .phase import PhasePoint, act
 from .reduction import reduced_hamiltonian_span
-from .groups import joint_centralizer_dim
 
 
 class GaugeError(RuntimeError):
@@ -111,7 +110,7 @@ class ExceptionalPointAudit:
     min_attained_at_exceptional: bool
 
 
-def exceptional_point_audit(x_val: float, tol: Tolerances = DEFAULT_TOL) -> ExceptionalPointAudit:
+def exceptional_point_audit(x_val: float) -> ExceptionalPointAudit:
     """Check the three signatures of the exceptional orbit for coupling ``x_val``.
 
     The constants-map image acquires a one-dimensional stabilizer, the
@@ -123,8 +122,8 @@ def exceptional_point_audit(x_val: float, tol: Tolerances = DEFAULT_TOL) -> Exce
     c = SliceCoords(EXCEPTIONAL_Q, 0.0, x_val)
     x = slice_point(c)
     z = constants_map(x)
-    stab = joint_centralizer_dim([z.X, z.Y], [], tol)
-    span = reduced_hamiltonian_span(x, tol)
+    stab = joint_centralizer_dim([z.X, z.Y], [])
+    span = reduced_hamiltonian_span(x)
     e0 = sutherland_energy(c)
     grid_min = min(
         sutherland_energy(SliceCoords(q, p, x_val)) for q in Q_GRID for p in P_GRID
@@ -132,7 +131,7 @@ def exceptional_point_audit(x_val: float, tol: Tolerances = DEFAULT_TOL) -> Exce
     return ExceptionalPointAudit(stab, span, grid_min, bool(e0 <= grid_min + 1e-12))
 
 
-def regauge_to_slice(y: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SliceCoords:
+def regauge_to_slice(y: PhasePoint) -> SliceCoords:
     """Invert the gauge fixing: conjugate ``y`` onto the slice and read off
     ``(q, p, x)``.
 
@@ -146,7 +145,7 @@ def regauge_to_slice(y: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SliceCoord
     if g.shape != (2, 2):
         raise GaugeError("slice coordinates exist only for 2 x 2 points")
     K = (g - g.conj().T) / 2j
-    if np.linalg.norm(K) <= tol.tau_eig:
+    if np.linalg.norm(K) <= TAU_EIG:
         raise GaugeError("group component is central; no slice angle exists")
     w, V = np.linalg.eigh(K)
     # eigh sorts ascending; put the positive branch (e^{iq}, q in (0, pi)) first
@@ -159,7 +158,7 @@ def regauge_to_slice(y: PhasePoint, tol: Tolerances = DEFAULT_TOL) -> SliceCoord
     Jp = eta @ y.J @ eta.conj().T
     off = Jp[0, 1]
     x = float(2.0 * np.sin(q) * abs(off))
-    if x <= tol.tau_eig:
+    if x <= TAU_EIG:
         raise GaugeError("moment value vanishes; point is outside the slice stratum")
     # rotate the upper off-diagonal entry onto its slice phase
     target = 1j / (1.0 - np.exp(-2j * q))
@@ -201,12 +200,14 @@ def integrate_sutherland(c0: SliceCoords, T: float, steps: int):
     return np.linspace(0.0, T, steps + 1), q, p
 
 
-def calibrate_time_scale(x_val: float, h: float = 1e-6) -> float:
+def calibrate_time_scale(x_val: float) -> float:
     """Ratio between the quadratic-Casimir flow time and Sutherland time.
 
     Measured once at a probe point with unit momentum by differencing the
-    regauged angle; with the inner product used here the ratio is 2.
+    regauged angle with step ``1e-6``; with the inner product used here the
+    ratio is 2.
     """
+    h = 1e-6
     probe = SliceCoords(np.pi / 3.0, 1.0, x_val)
     x0 = slice_point(probe)
     H = casimir(2)
@@ -237,18 +238,15 @@ def reduced_dynamics_match(
     c0: SliceCoords,
     T: float = 2.0,
     steps: int = 10_000,
-    tol: Tolerances = DEFAULT_TOL,
-    sample_stride: int | None = None,
 ) -> TrajectoryComparison:
     """Flow the slice point with the exact quadratic-Casimir flow, regauge
     back to the slice, and compare against the canonical integration.
 
-    ``T`` is Sutherland time; the exact flow runs at ``T / time_scale``. A
-    gauge failure along the way (the trajectory reaching ``q -> 0`` or
+    ``T`` is Sutherland time; the exact flow runs at ``T / time_scale``. The
+    comparison samples every ``max(1, steps // 1000)``-th step and the last.
+    A gauge failure along the way (the trajectory reaching ``q -> 0`` or
     ``q -> pi``) is reported through ``domain_exit`` rather than raised.
     """
-    if sample_stride is None:
-        sample_stride = max(1, steps // 1000)
     scale = calibrate_time_scale(c0.x)
     t_arr, q_arr, p_arr = integrate_sutherland(c0, T, steps)
     energy0 = sutherland_energy(c0)
@@ -257,7 +255,7 @@ def reduced_dynamics_match(
 
     x0 = slice_point(c0)
     H = casimir(2)
-    idx = list(range(0, steps + 1, sample_stride))
+    idx = list(range(0, steps + 1, max(1, steps // 1000)))
     if idx[-1] != steps:
         idx.append(steps)
     rows_t, rows_q, rows_p, rows_qo, rows_po, rows_e, rows_d = [], [], [], [], [], [], []
@@ -266,7 +264,7 @@ def reduced_dynamics_match(
     for k in idx:
         tau = t_arr[k]
         try:
-            c_t = regauge_to_slice(free_flow(x0, H, tau / scale), tol)
+            c_t = regauge_to_slice(free_flow(x0, H, tau / scale))
         except GaugeError:
             domain_exit = True
             break

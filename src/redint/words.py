@@ -120,9 +120,11 @@ def _occurrence_gradient(obs: Observable, env, rules):
 
     ``rules`` maps a symbol to ``(offset, extra, sign)``: an occurrence at
     position ``i`` of a word of ``m`` letters contributes ``sign`` times the
-    cyclic chain of ``m + extra`` letters starting at ``i + offset``.
+    cyclic chain of ``m + extra`` letters starting at ``i + offset``. The
+    matrix size is read from the environment, so an observable without terms
+    has the zero gradient.
     """
-    n = np.asarray(_resolve(obs.words[0].letters[0], env)).shape[0]
+    n = np.asarray(next(iter(env.values()))).shape[0]
     grad = np.zeros((n, n), dtype=complex)
     for w in obs.words:
         mats = _word_matrices(w, env)
@@ -181,14 +183,16 @@ def substitute(obs: Observable, mapping) -> Observable:
     return Observable(tuple(new_words))
 
 
-def random_word(rng, alphabet, max_len=4, parts=("re", "im")) -> TraceWord:
-    """Uniform random word over ``alphabet`` with length in ``1..max_len``."""
+def random_word(rng, alphabet, max_len=4) -> TraceWord:
+    """Uniform random word over ``alphabet`` with length in ``1..max_len``
+    and a uniformly drawn part."""
     length = int(rng.integers(1, max_len + 1))
     letters = tuple(alphabet[int(k)] for k in rng.integers(0, len(alphabet), size=length))
-    part = parts[int(rng.integers(0, len(parts)))]
+    part = ("re", "im")[int(rng.integers(0, 2))]
     return TraceWord(letters, part, 1.0)
 
 
-def random_observable(rng, alphabet, max_len=4, max_terms=2) -> Observable:
-    terms = int(rng.integers(1, max_terms + 1))
+def random_observable(rng, alphabet, max_len=4) -> Observable:
+    """Sum of one or two :func:`random_word` terms."""
+    terms = int(rng.integers(1, 3))
     return Observable(tuple(random_word(rng, alphabet, max_len) for _ in range(terms)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from redint.groups import (
-    DEFAULT_TOL,
+    TAU_RANK,
     GroupContext,
     basis_coordinates,
     numerical_rank,
@@ -188,7 +188,7 @@ def test_criterion_08_invariant_span_diagonal_case():
             for a, b in ((2 * X, zero), (X, X), (zero, 2 * X))
         ]
     )
-    oracle, _ = numerical_rank(pairing_rows, DEFAULT_TOL.tau_rank)
+    oracle, _ = numerical_rank(pairing_rows, TAU_RANK)
     # dim (su(2) + su(2)) / SU(2) = 2 dim_g - dim_g: a generic pair has a
     # finite stabilizer, so its orbit has full dimension dim_g
     quotient_dim = ctx.dim_g

@@ -25,7 +25,9 @@ from redint.free_motion import (
     pullback,
 )
 from redint.groups import (
-    DEFAULT_TOL,
+    H_FD,
+    TAU_CONS,
+    TAU_FD,
     GroupContext,
     adjoint,
     group_exp,
@@ -39,7 +41,6 @@ from redint.words import observable, random_observable, word
 
 CTX2 = GroupContext(2)
 CTX3 = GroupContext(3)
-TOL = DEFAULT_TOL
 
 
 def test_casimir_values_and_reality():
@@ -84,7 +85,7 @@ def test_casimir_gradient_matches_finite_differences():
             grad = casimir_gradient(k, J)
             for e in orthonormal_basis(ctx):
                 fd = (casimir_value(k, J + h * e) - casimir_value(k, J - h * e)) / (2 * h)
-                assert abs(fd - inner(e, grad)) < TOL.tau_fd
+                assert abs(fd - inner(e, grad)) < TAU_FD
 
 
 def test_flow_examples():
@@ -121,7 +122,7 @@ def test_flow_conservation(ctx, k):
     t_grid = np.arange(0.0, 10.0 + 1e-9, 0.5)
     for _ in range(5):
         x = random_phase_point(ctx, rng)
-        assert flow_conservation_defect(x, casimir(k), t_grid) <= TOL.tau_cons
+        assert flow_conservation_defect(x, casimir(k), t_grid) <= TAU_CONS
 
 
 def test_equivariance_defect():
@@ -190,7 +191,7 @@ def test_constants_map_rank():
 def test_constants_map_jacobian_matches_analytic_differential():
     rng = np.random.default_rng(13)
     x = random_phase_point(CTX3, rng)
-    M = constants_map_jacobian(x, TOL.h_fd)
+    M = constants_map_jacobian(x, H_FD)
     for col, (a, b) in enumerate(chart_directions(CTX3)):
         dX, dY = constants_map_differential(x, a, b)
         exact = np.concatenate(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from redint.groups import (
-    DEFAULT_TOL,
+    H_FD,
+    TAU_FD,
     GroupContext,
     ShapeError,
     group_exp,
@@ -31,11 +32,11 @@ from redint.phase import (
     product_bracket,
     random_phase_point,
 )
-from redint.words import observable, random_observable, word
+from redint.free_motion import constants_map, slot_gradients
+from redint.words import Observable, observable, random_observable, word
 
 CTX2 = GroupContext(2)
 CTX3 = GroupContext(3)
-TOL = DEFAULT_TOL
 
 
 def pairing_observable(A):
@@ -72,7 +73,7 @@ def test_left_gradient_examples():
     assert np.allclose(left_gradient(only_j, x), 0.0)
     trace_g = observable(word(("G",)))
     assert np.linalg.norm(left_gradient(trace_g, x)) < 1e-14
-    assert np.linalg.norm(fd_gradients(trace_g, x, TOL.h_fd)[0]) < 1e-9
+    assert np.linalg.norm(fd_gradients(trace_g, x, H_FD)[0]) < 1e-9
 
 
 def test_fiber_gradient_examples():
@@ -92,9 +93,9 @@ def test_gradients_match_finite_differences(ctx):
     for _ in range(8):
         x = random_phase_point(ctx, rng)
         F = random_observable(rng, ("G", "Ginv", "J"), max_len=4)
-        fd_left, fd_fiber = fd_gradients(F, x, TOL.h_fd)
-        assert np.linalg.norm(left_gradient(F, x) - fd_left) < TOL.tau_fd
-        assert np.linalg.norm(fiber_gradient(F, x) - fd_fiber) < TOL.tau_fd
+        fd_left, fd_fiber = fd_gradients(F, x, H_FD)
+        assert np.linalg.norm(left_gradient(F, x) - fd_left) < TAU_FD
+        assert np.linalg.norm(fiber_gradient(F, x) - fd_fiber) < TAU_FD
 
 
 def test_bracket_of_momentum_pairings():
@@ -139,7 +140,7 @@ def test_bracket_against_flow_derivative_oracle():
     F = observable(word(("G",)))
     H = observable(word(("J", "J"), coeff=-1.0))
     got = poisson_bracket(F, H, x)
-    h = TOL.h_fd
+    h = H_FD
     fd = (
         evaluate(F, PhasePoint(group_exp(2 * h * x.J) @ x.g, x.J))
         - evaluate(F, PhasePoint(group_exp(-2 * h * x.J) @ x.g, x.J))
@@ -184,7 +185,7 @@ def test_jacobi_identity_sampled():
             F, G, H = (random_observable(rng, ("G", "Ginv", "J"), max_len=3) for _ in range(3))
             total = 0.0
             for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
-                total += -fd_bracket_with(lambda y: poisson_bracket(B, C, y), A, x, TOL.h_fd)
+                total += -fd_bracket_with(lambda y: poisson_bracket(B, C, y), A, x, H_FD)
             worst = max(worst, abs(total))
         assert worst <= 1e-6
 
@@ -242,4 +243,19 @@ def test_moment_generates_defect_on_samples(ctx):
         F = random_observable(rng, ("G", "Ginv", "J"), max_len=3)
         X = random_algebra(ctx, rng)
         worst = max(worst, moment_generates_defect(F, X, x))
-    assert worst < TOL.tau_fd
+    assert worst < TAU_FD
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_observable_without_terms_has_zero_gradients(ctx):
+    # evaluate maps Observable(()) to 0.0, so every gradient and bracket of it vanishes
+    rng = np.random.default_rng(28)
+    x = random_phase_point(ctx, rng)
+    empty = Observable(())
+    zero = np.zeros((ctx.n, ctx.n))
+    assert evaluate(empty, x) == 0.0
+    for grad in gradients(empty, x) + slot_gradients(empty, constants_map(x)):
+        assert np.array_equal(grad, zero)
+    H = random_observable(rng, ("G", "Ginv", "J"), max_len=3)
+    assert poisson_bracket(empty, H, x) == 0.0
+    assert poisson_bracket(H, empty, x) == 0.0

@@ -6,7 +6,7 @@ import pytest
 from redint.apposition import build_frame, random_partner_algebra, random_torus_group, solve_moment_equation
 from redint.free_motion import DoublePoint, casimir_value, constants_map, pullback
 from redint.groups import (
-    DEFAULT_TOL,
+    H_FD,
     GroupContext,
     StructureError,
     adjoint,
@@ -43,7 +43,6 @@ from redint.words import evaluate, observable, word
 
 CTX2 = GroupContext(2)
 CTX3 = GroupContext(3)
-TOL = DEFAULT_TOL
 
 
 def test_classify_apposition_pair_is_principal():
@@ -213,7 +212,7 @@ def test_pullback_differential_row_matches_finite_differences():
         row = pullback_differential_row(x, gen)
         for col, (a, b) in enumerate(chart_directions(CTX2)):
             fd = fd_directional(
-                lambda y: evaluate_double(gen, constants_map(y)), x, a, b, TOL.h_fd
+                lambda y: evaluate_double(gen, constants_map(y)), x, a, b, H_FD
             )
             assert abs(fd - row[col]) < 1e-6
 
@@ -279,7 +278,7 @@ def test_moment_casimir_row_matches_finite_differences():
         row = moment_casimir_row(x, k)
         for col, (a, b) in enumerate(chart_directions(CTX3)):
             fd = fd_directional(
-                lambda y: casimir_value(k, moment_map(y)), x, a, b, TOL.h_fd
+                lambda y: casimir_value(k, moment_map(y)), x, a, b, H_FD
             )
             assert abs(fd - row[col]) < 1e-5
 
