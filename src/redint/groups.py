@@ -108,12 +108,20 @@ def project_algebra(M):
 
 
 def check_algebra(X):
-    """Raise :class:`StructureError` unless ``X`` is traceless anti-Hermitian."""
-    X = _require_square(X)
-    scale = max(1.0, float(np.linalg.norm(X)))
-    if np.linalg.norm(X + X.conj().T) > TAU_STRUCT * scale:
+    """Raise :class:`StructureError` unless ``X``, shape ``(n, n)`` or a stack
+    ``(..., n, n)``, is traceless anti-Hermitian in every slice."""
+    X = np.asarray(X)
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
+        raise ShapeError(f"matrix must be square, got shape {X.shape}")
+    # one row per slice; the diagonal of a row-major n x n matrix is every
+    # (n+1)-th entry, and vecdot conjugates its first argument
+    n = X.shape[-1]
+    flat = X.reshape(-1, n * n)
+    skew = (X + X.conj().swapaxes(-1, -2)).reshape(-1, n * n)
+    bound = TAU_STRUCT * np.maximum(1.0, np.sqrt(np.vecdot(flat, flat).real))
+    if np.count_nonzero(np.sqrt(np.vecdot(skew, skew).real) > bound):
         raise StructureError("matrix is not anti-Hermitian")
-    if abs(np.trace(X)) > TAU_STRUCT * scale:
+    if np.count_nonzero(np.abs(flat[:, :: n + 1].sum(axis=1)) > bound):
         raise StructureError("matrix is not traceless")
     return X
 
@@ -132,6 +140,8 @@ def check_group(g):
 def group_exp(X):
     """Exponential su(n) -> SU(n) through the eigendecomposition of ``iX``.
 
+    ``X`` has shape ``(n, n)`` or is a stack ``(..., n, n)``; each slice of
+    the result equals the exponential of that slice alone, bit for bit.
     ``iX`` is Hermitian for anti-Hermitian input, so the eigendecomposition
     is exact up to roundoff; the result is then snapped back to the nearest
     unitary by polar projection so that invariants do not drift along long
@@ -139,7 +149,7 @@ def group_exp(X):
     """
     X = check_algebra(X)
     w, V = np.linalg.eigh(1j * X)
-    U = (V * np.exp(-1j * w)) @ V.conj().T
+    U = (V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
     # polar projection onto the unitary group
     u, _, vh = np.linalg.svd(U)
     return u @ vh

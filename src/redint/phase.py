@@ -35,7 +35,8 @@ from .groups import (
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point ``(g, J)`` of the phase space; components share one size."""
+    """A point ``(g, J)`` of the phase space, or a stack of points with
+    components of shape ``(..., n, n)``; components share one shape."""
 
     g: np.ndarray
     J: np.ndarray
@@ -46,7 +47,7 @@ class PhasePoint:
 
     @property
     def n(self) -> int:
-        return np.asarray(self.g).shape[0]
+        return np.asarray(self.g).shape[-1]
 
     @property
     def context(self) -> GroupContext:

@@ -21,13 +21,14 @@ drops to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .free_motion import casimir, constants_map, free_flow
 from .groups import TAU_EIG, joint_centralizer_dim
-from .phase import PhasePoint, act
+from .phase import PhasePoint
 from .reduction import reduced_hamiltonian_span
 
 
@@ -131,73 +132,127 @@ def exceptional_point_audit(x_val: float) -> ExceptionalPointAudit:
     return ExceptionalPointAudit(stab, span, grid_min, bool(e0 <= grid_min + 1e-12))
 
 
-def regauge_to_slice(y: PhasePoint) -> SliceCoords:
-    """Invert the gauge fixing: conjugate ``y`` onto the slice and read off
+# Why a point has no slice coordinates, in the order the regauge tests them.
+_GAUGE_FAILURES = (
+    "group component is central; no slice angle exists",
+    "diagonalized angle {q} outside (0, pi)",
+    "moment value vanishes; point is outside the slice stratum",
+    "gauge residual {residual:.3e} exceeds 1e-8",
+)
+
+
+def _dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+def regauge_stack(y: PhasePoint):
+    """Invert the gauge fixing at every point of a stack ``y`` of shape
+    ``(m, 2, 2)``: conjugate each point onto the slice and read off
     ``(q, p, x)``.
 
     The group component is diagonalized with the eigenvalue of positive
     imaginary part first, which pins ``q`` in ``(0, pi)``; the residual
     diagonal torus is then fixed by rotating the upper off-diagonal entry of
-    the momentum onto its slice phase. Raises :class:`GaugeError` for points
-    outside the stratum (vanishing moment value, or central group part).
+    the momentum onto its slice phase. Returns the arrays ``q, p, x`` and a
+    dict from the index of each point outside the stratum (vanishing moment
+    value, central group part, or a gauge residual above ``1e-8``) to the
+    reason; the coordinates of those points are meaningless.
     """
-    g = np.asarray(y.g)
-    if g.shape != (2, 2):
+    g, J = np.asarray(y.g), np.asarray(y.J)
+    if g.ndim != 3 or g.shape[1:] != (2, 2):
         raise GaugeError("slice coordinates exist only for 2 x 2 points")
-    K = (g - g.conj().T) / 2j
-    if np.linalg.norm(K) <= TAU_EIG:
-        raise GaugeError("group component is central; no slice angle exists")
-    w, V = np.linalg.eigh(K)
-    # eigh sorts ascending; put the positive branch (e^{iq}, q in (0, pi)) first
-    U = V[:, ::-1]
-    eta = U.conj().T
-    eta = eta / np.sqrt(np.linalg.det(eta))
-    q = float(np.angle((eta @ g @ eta.conj().T)[0, 0]))
-    if not 0.0 < q < np.pi:
-        raise GaugeError(f"diagonalized angle {q} outside (0, pi)")
-    Jp = eta @ y.J @ eta.conj().T
-    off = Jp[0, 1]
-    x = float(2.0 * np.sin(q) * abs(off))
-    if x <= TAU_EIG:
-        raise GaugeError("moment value vanishes; point is outside the slice stratum")
-    # rotate the upper off-diagonal entry onto its slice phase
-    target = 1j / (1.0 - np.exp(-2j * q))
-    theta = 0.5 * (np.angle(target) - np.angle(off))
-    tau = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-    eta_total = tau @ eta
-    p = float(np.imag((eta_total @ y.J @ eta_total.conj().T)[0, 0]))
-    c = SliceCoords(q, p, x)
-    moved = act(eta_total, y)
-    ref = slice_point(c)
-    residual = max(
-        float(np.linalg.norm(moved.g - ref.g)), float(np.linalg.norm(moved.J - ref.J))
-    )
-    if residual > 1e-8:
-        raise GaugeError(f"gauge residual {residual:.3e} exceeds 1e-8")
-    return c
+    K = (g - _dagger(g)) / 2j
+    # points that fail an early test may divide by zero further on
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, V = np.linalg.eigh(K)
+        # eigh sorts ascending; put the positive branch (e^{iq}, q in (0, pi)) first
+        eta = _dagger(V[..., ::-1])
+        eta = eta / np.sqrt(np.linalg.det(eta))[:, None, None]
+        q = np.angle((eta @ g @ _dagger(eta))[:, 0, 0])
+        off = (eta @ J @ _dagger(eta))[:, 0, 1]
+        # hypot, not np.abs: abs of a complex array is not the scalar abs bit for bit
+        x = 2.0 * np.sin(q) * np.hypot(off.real, off.imag)
+        # rotate the upper off-diagonal entry onto its slice phase
+        target = 1j / (1.0 - np.exp(-2j * q))
+        theta = 0.5 * (np.angle(target) - np.angle(off))
+        tau = np.zeros_like(eta)
+        tau[:, 0, 0] = np.exp(1j * theta)
+        tau[:, 1, 1] = np.exp(-1j * theta)
+        eta = tau @ eta
+        moved_J = eta @ J @ _dagger(eta)
+        p = moved_J[:, 0, 0].imag.copy()
+        # distance to the slice point at (q, p, x), in the closed form of slice_point
+        moved_g = eta @ g @ _dagger(eta)
+        moved_J[:, 0, 0] -= 1j * p
+        moved_J[:, 0, 1] -= 1j * x / (1.0 - np.exp(-2j * q))
+        moved_J[:, 1, 0] -= 1j * x / (1.0 - np.exp(2j * q))
+        moved_J[:, 1, 1] -= -1j * p
+        moved_g[:, 0, 0] -= np.exp(1j * q)
+        moved_g[:, 1, 1] -= np.exp(-1j * q)
+        residual = np.maximum(
+            np.linalg.norm(moved_g, axis=(-2, -1)), np.linalg.norm(moved_J, axis=(-2, -1))
+        )
+        failure = np.select(
+            [
+                np.linalg.norm(K, axis=(-2, -1)) <= TAU_EIG,
+                ~((0.0 < q) & (q < np.pi)),
+                x <= TAU_EIG,
+                residual > 1e-8,
+            ],
+            [1, 2, 3, 4],
+        )
+    failures = {
+        int(i): _GAUGE_FAILURES[failure[i] - 1].format(q=float(q[i]), residual=residual[i])
+        for i in np.flatnonzero(failure)
+    }
+    return q, p, x, failures
 
 
-def _sutherland_rhs(q, p, x):
-    s = np.sin(q)
-    return p, x * x * np.cos(q) / (4.0 * s**3)
+def regauge_to_slice(y: PhasePoint) -> SliceCoords:
+    """Slice coordinates ``(q, p, x)`` of one point: :func:`regauge_stack`
+    on a stack of one. Raises :class:`GaugeError` for points outside the
+    stratum (vanishing moment value, or central group part)."""
+    q, p, x, failures = regauge_stack(PhasePoint(np.asarray(y.g)[None], np.asarray(y.J)[None]))
+    if failures:
+        raise GaugeError(failures[0])
+    return SliceCoords(float(q[0]), float(p[0]), float(x[0]))
+
+
+def _sutherland_force(q, x2):
+    """``-dV/dq`` for the Sutherland potential ``V = x^2 / (8 sin^2 q)``,
+    given ``x2 = x * x``."""
+    s = math.sin(q)
+    return x2 * math.cos(q) / (4.0 * s**3)
 
 
 def integrate_sutherland(c0: SliceCoords, T: float, steps: int):
     """Classical fixed-step fourth-order integration of the canonical
-    equations of the Sutherland energy. Returns arrays ``(t, q, p)``."""
+    equations ``dq/dt = p, dp/dt = -dV/dq`` of the Sutherland energy.
+    Returns arrays ``(t, q, p)``.
+
+    Each step runs on Python floats, whose ``math.sin``, ``math.cos`` and
+    ``**`` equal numpy's scalar results bit for bit; numpy's array ``s**3``
+    does not, so the integration is not batched across starts.
+    """
     h = T / steps
-    q = np.empty(steps + 1)
-    p = np.empty(steps + 1)
-    q[0], p[0] = c0.q, c0.p
-    x = c0.x
-    for k in range(steps):
-        q1, p1 = _sutherland_rhs(q[k], p[k], x)
-        q2, p2 = _sutherland_rhs(q[k] + 0.5 * h * q1, p[k] + 0.5 * h * p1, x)
-        q3, p3 = _sutherland_rhs(q[k] + 0.5 * h * q2, p[k] + 0.5 * h * p2, x)
-        q4, p4 = _sutherland_rhs(q[k] + h * q3, p[k] + h * p3, x)
-        q[k + 1] = q[k] + h * (q1 + 2 * q2 + 2 * q3 + q4) / 6.0
-        p[k + 1] = p[k] + h * (p1 + 2 * p2 + 2 * p3 + p4) / 6.0
-    return np.linspace(0.0, T, steps + 1), q, p
+    q, p, x = float(c0.q), float(c0.p), float(c0.x)
+    x2 = x * x
+    qs = np.empty(steps + 1)
+    ps = np.empty(steps + 1)
+    qs[0], ps[0] = q, p
+    for k in range(1, steps + 1):
+        # each stage's dq/dt is that stage's momentum
+        p1 = _sutherland_force(q, x2)
+        q2 = p + 0.5 * h * p1
+        p2 = _sutherland_force(q + 0.5 * h * p, x2)
+        q3 = p + 0.5 * h * p2
+        p3 = _sutherland_force(q + 0.5 * h * q2, x2)
+        q4 = p + h * p3
+        p4 = _sutherland_force(q + h * q3, x2)
+        q = q + h * (p + 2 * q2 + 2 * q3 + q4) / 6.0
+        p = p + h * (p1 + 2 * p2 + 2 * p3 + p4) / 6.0
+        qs[k], ps[k] = q, p
+    return np.linspace(0.0, T, steps + 1), qs, ps
 
 
 def calibrate_time_scale(x_val: float) -> float:
@@ -243,9 +298,11 @@ def reduced_dynamics_match(
     back to the slice, and compare against the canonical integration.
 
     ``T`` is Sutherland time; the exact flow runs at ``T / time_scale``. The
-    comparison samples every ``max(1, steps // 1000)``-th step and the last.
-    A gauge failure along the way (the trajectory reaching ``q -> 0`` or
-    ``q -> pi``) is reported through ``domain_exit`` rather than raised.
+    comparison samples every ``max(1, steps // 1000)``-th step and the last;
+    all samples are flowed in one stacked :func:`free_flow` and regauged by
+    one :func:`regauge_stack`. A gauge failure along the way (the trajectory
+    reaching ``q -> 0`` or ``q -> pi``) is reported through ``domain_exit``
+    rather than raised, and the comparison ends at the first failing sample.
     """
     scale = calibrate_time_scale(c0.x)
     t_arr, q_arr, p_arr = integrate_sutherland(c0, T, steps)
@@ -253,42 +310,28 @@ def reduced_dynamics_match(
     energies = 0.5 * p_arr**2 + c0.x**2 / (8.0 * np.sin(q_arr) ** 2)
     drift = float(np.max(np.abs(energies - energy0)))
 
-    x0 = slice_point(c0)
-    H = casimir(2)
-    idx = list(range(0, steps + 1, max(1, steps // 1000)))
+    idx = np.arange(0, steps + 1, max(1, steps // 1000))
     if idx[-1] != steps:
-        idx.append(steps)
-    rows_t, rows_q, rows_p, rows_qo, rows_po, rows_e, rows_d = [], [], [], [], [], [], []
-    domain_exit = False
-    worst = 0.0
-    for k in idx:
-        tau = t_arr[k]
-        try:
-            c_t = regauge_to_slice(free_flow(x0, H, tau / scale))
-        except GaugeError:
-            domain_exit = True
-            break
-        dev = max(abs(c_t.q - q_arr[k]), abs(c_t.p - p_arr[k]))
-        worst = max(worst, dev)
-        rows_t.append(tau)
-        rows_q.append(c_t.q)
-        rows_p.append(c_t.p)
-        rows_qo.append(q_arr[k])
-        rows_po.append(p_arr[k])
-        rows_e.append(energies[k])
-        rows_d.append(dev)
+        idx = np.append(idx, steps)
+    flowed = free_flow(slice_point(c0), casimir(2), t_arr[idx] / scale)
+    q, p, _, failures = regauge_stack(flowed)
+    stop = min(failures, default=len(idx))
+    idx, q, p = idx[:stop], q[:stop], p[:stop]
+    dq = np.abs(q - q_arr[idx])
+    dp = np.abs(p - p_arr[idx])
+    deviation = np.where(dp > dq, dp, dq)  # Python's max(dq, dp)
     return TrajectoryComparison(
-        np.array(rows_t),
-        np.array(rows_q),
-        np.array(rows_p),
-        np.array(rows_qo),
-        np.array(rows_po),
-        np.array(rows_e),
-        np.array(rows_d),
-        worst,
+        t_arr[idx],
+        q,
+        p,
+        q_arr[idx],
+        p_arr[idx],
+        energies[idx],
+        deviation,
+        max((0.0, *deviation)),
         scale,
         drift,
-        domain_exit,
+        bool(failures),
     )
 
 

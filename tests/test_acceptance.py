@@ -22,7 +22,6 @@ from redint.groups import (
 )
 from redint.harness import ExperimentConfig, run_check, sample_rng
 from redint.su2 import (
-    EXCEPTIONAL_Q,
     SliceCoords,
     exceptional_point_audit,
     reduced_dynamics_match,

@@ -14,7 +14,6 @@ from redint.apposition import (
     stacked_torus_rank,
 )
 from redint.groups import (
-    GroupContext,
     StructureError,
     check_group,
     inner,

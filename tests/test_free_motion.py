@@ -36,7 +36,7 @@ from redint.groups import (
     random_algebra,
     random_group,
 )
-from redint.phase import PhasePoint, act, random_phase_point
+from redint.phase import PhasePoint, random_phase_point
 from redint.words import observable, random_observable, word
 
 CTX2 = GroupContext(2)
@@ -123,6 +123,35 @@ def test_flow_conservation(ctx, k):
     for _ in range(5):
         x = random_phase_point(ctx, rng)
         assert flow_conservation_defect(x, casimir(k), t_grid) <= TAU_CONS
+
+
+def _reference_flow_conservation_defect(x, H, t_grid):
+    """The per-time loop that ``flow_conservation_defect`` ran before it
+    flowed the whole grid in one call."""
+    z0 = constants_map(x)
+    worst = 0.0
+    for t in t_grid:
+        worst = max(worst, double_norm(constants_map(free_flow(x, H, float(t))), z0))
+    return worst
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3, GroupContext(5)])
+def test_flow_over_a_time_grid_equals_each_time_alone_bit_for_bit(ctx):
+    rng = np.random.default_rng(31)
+    t_grid = np.arange(0.0, 10.0 + 1e-12, 0.5)
+    for k in range(2, ctx.n + 1):
+        x = random_phase_point(ctx, rng)
+        H = casimir(k)
+        flowed = free_flow(x, H, t_grid)
+        assert flowed.g.shape == (len(t_grid), ctx.n, ctx.n)
+        assert np.array_equal(flowed.J, np.broadcast_to(x.J, flowed.g.shape))
+        for t, g in zip(t_grid, flowed.g):
+            assert np.array_equal(g, free_flow(x, H, float(t)).g)
+            assert np.array_equal(g, group_exp(float(t) * casimir_gradient(k, x.J)) @ x.g)
+        assert flow_conservation_defect(x, H, t_grid) == _reference_flow_conservation_defect(
+            x, H, t_grid
+        )
+    assert flow_conservation_defect(x, H, []) == 0.0
 
 
 def test_equivariance_defect():

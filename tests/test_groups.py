@@ -109,6 +109,41 @@ def test_group_exp_rejects_non_algebra():
         group_exp(np.diag([1j, 1j]))  # anti-Hermitian but not traceless
 
 
+def _reference_group_exp(X):
+    """The one-matrix exponential as written before ``group_exp`` took stacks."""
+    w, V = np.linalg.eigh(1j * X)
+    U = (V * np.exp(-1j * w)) @ V.conj().T
+    u, _, vh = np.linalg.svd(U)
+    return u @ vh
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_group_exp_equals_per_slice_calls_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(40 + n)
+    X = np.array([random_algebra(ctx, rng) for _ in range(24)])
+    X = X * rng.uniform(0.0, 20.0, size=(24, 1, 1))
+    X[0] = 0.0
+    stacked = group_exp(X)
+    assert stacked.shape == X.shape
+    for Xi, Ui in zip(X, stacked):
+        assert np.array_equal(Ui, group_exp(Xi))
+        assert np.array_equal(Ui, _reference_group_exp(Xi))
+    assert np.array_equal(group_exp(X.reshape(4, 6, n, n)), stacked.reshape(4, 6, n, n))
+
+
+def test_stacked_group_exp_rejects_a_stack_with_one_bad_slice():
+    X = np.array([random_algebra(GroupContext(2), i) for i in range(5)])
+    check_algebra(X)
+    for bad, reason in ((np.eye(2), "anti-Hermitian"), (np.diag([1j, 1j]), "traceless")):
+        Y = X.copy()
+        Y[3] = bad
+        with pytest.raises(StructureError, match=reason):
+            group_exp(Y)
+    with pytest.raises(ShapeError):
+        group_exp(np.zeros((5, 2, 3), dtype=complex))
+
+
 def test_adjoint_examples():
     X = random_algebra(GroupContext(2), 3)
     assert np.allclose(adjoint(np.eye(2), X), X)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from redint.apposition import build_frame, random_partner_algebra, random_torus_group, solve_moment_equation
-from redint.free_motion import DoublePoint, casimir_value, constants_map, pullback
+from redint.free_motion import DoublePoint, casimir_value, constants_map
 from redint.groups import (
     H_FD,
     GroupContext,
     StructureError,
     adjoint,
     basis_coordinates,
-    inner,
     joint_centralizer_dim,
     random_algebra,
     random_group,
@@ -350,6 +349,21 @@ def test_momentum_casimir_span_and_linear_pullback_span(ctx):
         functionals.append(observable(word((e, "Y"), coeff=-1.0)))
     D = constants_differential_matrix(x, functionals)
     assert np.linalg.matrix_rank(D, tol=1e-10) == ctx.dim_phase - ctx.rank
+
+
+def test_quotient_rank_on_rows_with_a_known_answer():
+    rng = np.random.default_rng(17)
+    frame = np.linalg.qr(rng.standard_normal((12, 12)))[0].T  # orthonormal rows
+    W = rng.standard_normal((6, 4)) @ frame[:4]  # gauge rows of rank 4
+    inside = rng.standard_normal((2, 4)) @ frame[:4]
+    outside = rng.standard_normal((3, 3)) @ frame[4:7]
+    V = np.vstack([inside, outside, inside[0] + 2.0 * outside[1]])
+    plain = lambda M: int(np.linalg.matrix_rank(M))
+    assert quotient_rank(V, W) == 3 == plain(np.vstack([V, W])) - plain(W)
+    assert quotient_rank(inside, W) == 0
+    assert quotient_rank(W, W) == 0
+    assert quotient_rank(outside, W) == 3
+    assert quotient_rank(V, np.zeros((1, 12))) == 5 == plain(V)
 
 
 def test_quotient_rank_against_plain_rank_for_invariant_rows():

@@ -1,10 +1,20 @@
 """Tests for the explicit SU(2) reduction."""
 
+import re
+
 import numpy as np
 import pytest
 
-from redint.free_motion import constants_map
-from redint.groups import GroupContext, check_algebra, check_group, joint_centralizer_dim, random_group
+from redint import su2
+from redint.free_motion import casimir, constants_map, free_flow
+from redint.groups import (
+    TAU_EIG,
+    GroupContext,
+    check_algebra,
+    check_group,
+    joint_centralizer_dim,
+    random_group,
+)
 from redint.phase import PhasePoint, act, moment_map
 from redint.su2 import (
     EXCEPTIONAL_Q,
@@ -18,6 +28,7 @@ from redint.su2 import (
     exceptional_point_audit,
     integrate_sutherland,
     reduced_dynamics_match,
+    regauge_stack,
     regauge_to_slice,
     slice_image_first_component,
     slice_moment_value,
@@ -161,3 +172,173 @@ def test_trajectory_csv_format():
         assert len(fields) == 7
         for field in fields:
             float(field)  # every cell is a plain decimal literal
+
+
+# References: the one-point regauge, the numpy-scalar RK4 and the per-sample
+# comparison loop as written before the stacked versions replaced them.
+
+
+def _reference_regauge(y):
+    g = np.asarray(y.g)
+    K = (g - g.conj().T) / 2j
+    if np.linalg.norm(K) <= TAU_EIG:
+        raise GaugeError("group component is central; no slice angle exists")
+    w, V = np.linalg.eigh(K)
+    U = V[:, ::-1]
+    eta = U.conj().T
+    eta = eta / np.sqrt(np.linalg.det(eta))
+    q = float(np.angle((eta @ g @ eta.conj().T)[0, 0]))
+    if not 0.0 < q < np.pi:
+        raise GaugeError(f"diagonalized angle {q} outside (0, pi)")
+    Jp = eta @ y.J @ eta.conj().T
+    off = Jp[0, 1]
+    x = float(2.0 * np.sin(q) * abs(off))
+    if x <= TAU_EIG:
+        raise GaugeError("moment value vanishes; point is outside the slice stratum")
+    target = 1j / (1.0 - np.exp(-2j * q))
+    theta = 0.5 * (np.angle(target) - np.angle(off))
+    tau = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
+    eta_total = tau @ eta
+    p = float(np.imag((eta_total @ y.J @ eta_total.conj().T)[0, 0]))
+    c = SliceCoords(q, p, x)
+    moved = act(eta_total, y)
+    ref = slice_point(c)
+    residual = max(
+        float(np.linalg.norm(moved.g - ref.g)), float(np.linalg.norm(moved.J - ref.J))
+    )
+    if residual > 1e-8:
+        raise GaugeError(f"gauge residual {residual:.3e} exceeds 1e-8")
+    return c
+
+
+def _reference_rhs(q, p, x):
+    s = np.sin(q)
+    return p, x * x * np.cos(q) / (4.0 * s**3)
+
+
+def _reference_integrate(c0, T, steps):
+    h = T / steps
+    q = np.empty(steps + 1)
+    p = np.empty(steps + 1)
+    q[0], p[0] = c0.q, c0.p
+    x = c0.x
+    for k in range(steps):
+        q1, p1 = _reference_rhs(q[k], p[k], x)
+        q2, p2 = _reference_rhs(q[k] + 0.5 * h * q1, p[k] + 0.5 * h * p1, x)
+        q3, p3 = _reference_rhs(q[k] + 0.5 * h * q2, p[k] + 0.5 * h * p2, x)
+        q4, p4 = _reference_rhs(q[k] + h * q3, p[k] + h * p3, x)
+        q[k + 1] = q[k] + h * (q1 + 2 * q2 + 2 * q3 + q4) / 6.0
+        p[k + 1] = p[k] + h * (p1 + 2 * p2 + 2 * p3 + p4) / 6.0
+    return np.linspace(0.0, T, steps + 1), q, p
+
+
+def _reference_rows(c0, T, steps):
+    """Rows ``(t, q, p, deviation)`` of the per-sample comparison loop."""
+    scale = calibrate_time_scale(c0.x)
+    t_arr, q_arr, p_arr = _reference_integrate(c0, T, steps)
+    x0 = slice_point(c0)
+    idx = list(range(0, steps + 1, max(1, steps // 1000)))
+    if idx[-1] != steps:
+        idx.append(steps)
+    rows = []
+    for k in idx:
+        try:
+            c_t = _reference_regauge(free_flow(x0, casimir(2), t_arr[k] / scale))
+        except GaugeError:
+            break
+        rows.append((t_arr[k], c_t.q, c_t.p, max(abs(c_t.q - q_arr[k]), abs(c_t.p - p_arr[k]))))
+    return [np.array(col) for col in zip(*rows)]
+
+
+STARTS = [
+    SliceCoords(np.pi / 3, 0.0, 1.0),
+    SliceCoords(EXCEPTIONAL_Q, 0.0, 1.0),
+    SliceCoords(1.1, 0.45, 0.6),
+    SliceCoords(2.3, -0.5, 1.9),
+    SliceCoords(0.3, 0.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("c0", STARTS)
+def test_integrate_sutherland_equals_the_numpy_scalar_loop_bit_for_bit(c0):
+    got = integrate_sutherland(c0, 2.0, 10_000)
+    for a, b in zip(got, _reference_integrate(c0, 2.0, 10_000), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _probe_points(rng):
+    """Slice points, their gauge rotations, and points along exact flows."""
+    points = []
+    for _ in range(40):
+        c = SliceCoords(rng.uniform(0.05, np.pi - 0.05), rng.uniform(-3, 3), rng.uniform(0.1, 8))
+        points.append(slice_point(c))
+        points.append(act(random_group(CTX2, rng), slice_point(c)))
+    flowed = free_flow(slice_point(SliceCoords(1.0, 0.4, 1.3)), casimir(2), np.linspace(-2, 2, 41))
+    points += [PhasePoint(g, J) for g, J in zip(flowed.g, flowed.J)]
+    return points
+
+
+def _stack(points):
+    return PhasePoint(np.array([y.g for y in points]), np.array([y.J for y in points]))
+
+
+def test_regauge_stack_equals_the_one_point_regauge_bit_for_bit():
+    points = _probe_points(np.random.default_rng(21))
+    q, p, x, failures = regauge_stack(_stack(points))
+    assert failures == {}
+    for i, y in enumerate(points):
+        ref = _reference_regauge(y)
+        assert (q[i], p[i], x[i]) == (ref.q, ref.p, ref.x)
+        assert regauge_to_slice(y) == ref
+
+
+def test_regauge_stack_flags_exactly_the_points_the_one_point_regauge_rejects():
+    good = _probe_points(np.random.default_rng(22))[:6]
+    J = np.diag([1j, -1j])
+    bad = [
+        PhasePoint(np.eye(2, dtype=complex), J),  # central group part
+        PhasePoint(-np.eye(2, dtype=complex), slice_point(SliceCoords(1.0, 0.2, 1.0)).J),
+        PhasePoint(np.diag([np.exp(0.5j), np.exp(-0.5j)]), J),  # commuting pair
+        PhasePoint(np.diag([np.exp(2.0j), np.exp(-2.0j)]), 0.3 * J),
+    ]
+    points = [good[0], bad[0], good[1], bad[1], bad[2], good[2], bad[3], good[3]]
+    _, _, _, failures = regauge_stack(_stack(points))
+    rejected = 0
+    for i, y in enumerate(points):
+        try:
+            _reference_regauge(y)
+        except GaugeError as err:
+            rejected += 1
+            assert failures.pop(i) == str(err)
+            with pytest.raises(GaugeError, match=re.escape(str(err))):
+                regauge_to_slice(y)
+    assert rejected == len(bad)
+    assert failures == {}
+
+
+@pytest.mark.parametrize("c0", STARTS[:4])
+def test_reduced_dynamics_match_equals_the_per_sample_loop_bit_for_bit(c0):
+    comp = reduced_dynamics_match(c0, T=2.0, steps=2_000)
+    t, q, p, deviation = _reference_rows(c0, 2.0, 2_000)
+    for got, want in ((comp.t, t), (comp.q, q), (comp.p, p), (comp.deviation, deviation)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not comp.domain_exit
+    assert repr(comp.max_deviation) == repr(max((0.0, *deviation)))
+
+
+@pytest.mark.parametrize("k", [1, 7, 300])
+def test_reduced_dynamics_match_keeps_the_rows_before_the_first_gauge_failure(monkeypatch, k):
+    c0 = SliceCoords(np.pi / 3, 0.2, 1.0)
+    full = reduced_dynamics_match(c0, T=0.5, steps=500)
+    real = su2.regauge_stack
+
+    def failing_from_k(y):
+        q, p, x, failures = real(y)
+        return q, p, x, {**failures, **{i: "stubbed" for i in range(k, len(q))}}
+
+    monkeypatch.setattr(su2, "regauge_stack", failing_from_k)
+    cut = reduced_dynamics_match(c0, T=0.5, steps=500)
+    assert cut.domain_exit and not full.domain_exit
+    for field in ("t", "q", "p", "q_oracle", "p_oracle", "energy", "deviation"):
+        assert np.array_equal(getattr(cut, field), getattr(full, field)[:k])
+    assert cut.max_deviation == max((0.0, *full.deviation[:k]))
