@@ -63,17 +63,18 @@ class GroupContext:
         return 2 * self.dim_g
 
 
-def _require_square(mat):
+def _require_square(mat, stack=False):
+    """``mat`` as an ``(n, n)`` array, or with ``stack`` also ``(..., n, n)``."""
     mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or (mat.ndim > 2 and not stack) or mat.shape[-1] != mat.shape[-2]:
         raise ShapeError(f"matrix must be square, got shape {mat.shape}")
     return mat
 
 
-def _require_same_size(X, Y):
-    X = _require_square(X)
-    Y = _require_square(Y)
-    if X.shape != Y.shape:
+def _require_same_size(X, Y, stack=False):
+    X = _require_square(X, stack)
+    Y = _require_square(Y, stack)
+    if X.shape[-1] != Y.shape[-1]:
         raise ShapeError(f"size mismatch: {X.shape} vs {Y.shape}")
     return X, Y
 
@@ -93,26 +94,26 @@ def norm(X) -> float:
 
 
 def lie_bracket(X, Y):
-    """Matrix commutator ``XY - YX``."""
-    X, Y = _require_same_size(X, Y)
+    """Matrix commutator ``XY - YX``, slice by slice on stacks ``(..., n, n)``."""
+    X, Y = _require_same_size(X, Y, stack=True)
     return X @ Y - Y @ X
 
 
 def project_algebra(M):
-    """Orthogonal projection of an arbitrary complex matrix onto su(n)."""
-    M = _require_square(M)
-    A = 0.5 * (M - M.conj().T)
-    n = M.shape[0]
-    A[np.diag_indices(n)] -= np.trace(A) / n
+    """Orthogonal projection of an arbitrary complex matrix onto su(n); on a
+    stack ``(..., n, n)`` each slice equals its own projection, bit for bit."""
+    M = _require_square(M, stack=True)
+    A = 0.5 * (M - M.conj().swapaxes(-1, -2))
+    n = M.shape[-1]
+    diag = A.reshape(-1, n * n)[:, :: n + 1]
+    diag -= diag.sum(axis=1, keepdims=True) / n
     return A
 
 
 def check_algebra(X):
     """Raise :class:`StructureError` unless ``X``, shape ``(n, n)`` or a stack
     ``(..., n, n)``, is traceless anti-Hermitian in every slice."""
-    X = np.asarray(X)
-    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
-        raise ShapeError(f"matrix must be square, got shape {X.shape}")
+    X = _require_square(X, stack=True)
     # one row per slice; the diagonal of a row-major n x n matrix is every
     # (n+1)-th entry, and vecdot conjugates its first argument
     n = X.shape[-1]
@@ -156,9 +157,10 @@ def group_exp(X):
 
 
 def adjoint(eta, X):
-    """Conjugation action ``eta X eta^{-1}`` of a unitary on the algebra."""
-    eta, X = _require_same_size(eta, X)
-    return eta @ X @ eta.conj().T
+    """Conjugation action ``eta X eta^{-1}`` of a unitary on the algebra,
+    slice by slice on stacks ``(..., n, n)``."""
+    eta, X = _require_same_size(eta, X, stack=True)
+    return eta @ X @ eta.conj().swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=None)

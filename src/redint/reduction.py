@@ -35,8 +35,8 @@ from .free_motion import (
     casimir_double,
     casimir_gradient,
     constants_map,
+    double_environment,
     pullback,
-    slot_gradients,
 )
 from .groups import (
     TAU_RANK,
@@ -52,7 +52,7 @@ from .groups import (
     numerical_rank,
     orthonormal_basis,
 )
-from .phase import PhasePoint, bracket_from_gradients, gradients, moment_map, poisson_bracket
+from .phase import PhasePoint, bracket_from_gradients, environment, moment_map, poisson_bracket
 
 
 @dataclass(frozen=True)
@@ -197,23 +197,28 @@ def word_generators(max_len: int):
     )
 
 
-def pullback_differential_row(x: PhasePoint, gen: w.Observable):
-    """Chart coordinates of ``d(P o constants_map)`` for one invariant word.
+def pullback_differential_row(x: PhasePoint, gen):
+    """Chart coordinates of ``d(P o constants_map)`` for one invariant word,
+    or one row per word for a sequence of them, from one gradient kernel call.
 
     Chain rule through the analytic differential of the constants map: the
     group column block is ``[Ad_g grad_X P, J]`` and the fiber block is
     ``Ad_g grad_X P + grad_Y P`` in basis coordinates.
     """
     ctx = x.context
-    z = constants_map(x)
-    gX, gY = slot_gradients(gen, z)
+    single = isinstance(gen, w.Observable)
+    gens = (gen,) if single else gen
+    gX, gY = w._gradient_stacks(gens, double_environment(constants_map(x)), ("X", "Y"))
     pushed = adjoint(x.g, gX)
-    return basis_coordinates(ctx, np.array([lie_bracket(pushed, x.J), pushed + gY])).ravel()
+    blocks = np.stack([lie_bracket(pushed, x.J), pushed + gY], axis=1)
+    # coordinates one word at a time keep the temporaries at one word's size
+    rows = np.array([basis_coordinates(ctx, b).ravel() for b in blocks])
+    return rows[0] if single else rows
 
 
 def constants_differential_matrix(x: PhasePoint, gens):
     """Stacked differentials of the pulled-back invariant words at ``x``."""
-    return np.vstack([pullback_differential_row(x, gen) for gen in gens])
+    return pullback_differential_row(x, gens)
 
 
 def reduced_constants_span(x: PhasePoint, gens) -> int:
@@ -250,11 +255,14 @@ def centrality_defect(x: PhasePoint, k: int, gen: w.Observable) -> float:
 def max_centrality_defect(x: PhasePoint, gens) -> float:
     """Largest :func:`centrality_defect` over ``k = 2..n`` and ``gens``, in
     the same arithmetic, with each gradient pair taken once."""
-    grads = [gradients(pullback(gen), x) for gen in gens]
+    casimirs = [casimir_double(k, "Y") for k in range(2, x.n + 1)]
+    left, fiber = w._gradient_stacks(
+        [pullback(f) for f in (*gens, *casimirs)], environment(x), (w._LEFT_GROUP_RULES, "J")
+    )
+    grads = list(zip(left, fiber))
     worst = 0.0
-    for k in range(2, x.n + 1):
-        ck = gradients(pullback(casimir_double(k, "Y")), x)
-        for gh in grads:
+    for ck in grads[len(gens) :]:
+        for gh in grads[: len(gens)]:
             worst = max(worst, abs(bracket_from_gradients(x.J, ck, gh)))
     return worst
 
@@ -284,9 +292,8 @@ def leaf_codim(x: PhasePoint) -> int:
 def double_differential_matrix(z: DoublePoint, gens):
     """Stacked differentials of invariant words at a point of the double."""
     ctx = GroupContext(z.n)
-    return np.array(
-        [basis_coordinates(ctx, np.array(slot_gradients(gen, z))).ravel() for gen in gens]
-    )
+    gX, gY = w._gradient_stacks(gens, double_environment(z), ("X", "Y"))
+    return np.array([basis_coordinates(ctx, np.array(pair)).ravel() for pair in zip(gX, gY)])
 
 
 def invariant_span_double(z: DoublePoint, gens) -> int:

@@ -234,6 +234,8 @@ def integrate_sutherland(c0: SliceCoords, T: float, steps: int):
     ``**`` equal numpy's scalar results bit for bit; numpy's array ``s**3``
     does not, so the integration is not batched across starts.
     """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     h = T / steps
     q, p, x = float(c0.q), float(c0.p), float(c0.x)
     x2 = x * x

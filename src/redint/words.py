@@ -12,14 +12,16 @@ functions the rank certificates need. Every gradient returned here is the
 unique su(n) element representing the corresponding directional derivative
 with respect to the inner product ``<X, Y> = -Re tr(XY)``.
 
-Both gradients come from one occurrence loop: each occurrence of a varied
-symbol contributes a signed cyclic chain of the word's letters, and a
-per-symbol rule table says where that chain starts and how long it is.
+Both gradients come from one kernel over a sequence of observables: each
+occurrence of a varied symbol contributes a signed cyclic chain of the word's
+letters, and a per-symbol rule table says where that chain starts and how
+long it is. Chains that share a prefix are multiplied once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -87,61 +89,62 @@ def _word_matrices(w: TraceWord, env):
     return mats
 
 
-def _chain(mats, start, count, n):
-    """Product of ``count`` consecutive matrices starting at ``start``, cyclically."""
-    if count == 0:
-        return np.eye(n, dtype=complex)
-    m = len(mats)
-    out = mats[start % m]
-    for k in range(1, count):
-        out = out @ mats[(start + k) % m]
-    return out
-
-
 def evaluate(obs: Observable, env) -> float:
     """Value of the observable; always a finite real number."""
     total = 0.0
     for w in obs.words:
         mats = _word_matrices(w, env)
-        t = np.trace(_chain(mats, 0, len(mats), mats[0].shape[0]))
+        t = np.trace(reduce(np.matmul, mats))
         total += w.coeff * (t.real if w.part == "re" else t.imag)
     return float(total)
 
 
-def _accumulate(grad, w: TraceWord, S):
-    """Fold ``d/dt = coeff * part tr(X S)`` into an su(n) gradient."""
-    if w.part == "re":
-        return grad - w.coeff * project_algebra(S)
-    return grad + w.coeff * project_algebra(1j * S)
-
-
-def _occurrence_gradient(obs: Observable, env, rules):
-    """Gradient summed over the occurrences of the symbols in ``rules``.
-
-    ``rules`` maps a symbol to ``(offset, extra, sign)``: an occurrence at
-    position ``i`` of a word of ``m`` letters contributes ``sign`` times the
-    cyclic chain of ``m + extra`` letters starting at ``i + offset``. The
-    matrix size is read from the environment, so an observable without terms
-    has the zero gradient.
+def _gradient_stacks(observables, env, tables):
+    """Gradients of all ``observables`` at one environment, one ``(K, n, n)``
+    stack per table: a symbol (its additive shift) or a rule table mapping a
+    symbol to ``(offset, extra, sign)``. An occurrence at position ``i`` of a
+    word of ``m`` letters contributes ``sign`` times the cyclic chain of
+    ``m + extra`` letters from ``i + offset``, built left to right as its
+    memoized prefix (symbols keyed by name, constants by identity) times its
+    last letter. Each term's ``S`` or ``1j * S`` goes through one stacked
+    :func:`project_algebra`, and each gradient folds its terms from zero.
     """
     n = np.asarray(next(iter(env.values()))).shape[0]
-    grad = np.zeros((n, n), dtype=complex)
-    for w in obs.words:
-        mats = _word_matrices(w, env)
-        m = len(mats)
-        S = np.zeros((n, n), dtype=complex)
-        hit = False
-        for i, lt in enumerate(w.letters):
-            rule = rules.get(lt) if isinstance(lt, str) else None
-            if rule is None:
-                continue
-            offset, extra, sign = rule
-            C = _chain(mats, i + offset, m + extra, n)
-            S = S + C if sign > 0 else S - C
-            hit = True
-        if hit:
-            grad = _accumulate(grad, w, S)
-    return grad
+    tables = [{t: (1, -1, 1)} if isinstance(t, str) else t for t in tables]
+    memo = {}
+    sums, folds = [], []
+    for k, obs in enumerate(observables):
+        for w in obs.words:
+            mats = _word_matrices(w, env)
+            keys = [lt if isinstance(lt, str) else id(lt) for lt in w.letters]
+            m = len(mats)
+            for t, rules in enumerate(tables):
+                S = None
+                for i, key in enumerate(keys):
+                    rule = rules.get(key)
+                    if rule is None:
+                        continue
+                    offset, extra, sign = rule
+                    C, level = None, memo
+                    for j in range(i + offset, i + offset + m + extra):
+                        j %= m
+                        node = level.get(keys[j])
+                        if node is None:
+                            node = level[keys[j]] = (mats[j] if C is None else C @ mats[j], {})
+                        C, level = node
+                    C = np.eye(n, dtype=complex) if C is None else C
+                    S = np.zeros((n, n), dtype=complex) if S is None else S
+                    S = S + C if sign > 0 else S - C
+                if S is not None:
+                    sums.append(S if w.part == "re" else 1j * S)
+                    folds.append((t, k, w))
+    grads = np.zeros((len(tables), len(observables), n, n), dtype=complex)
+    for (t, k, w), P in zip(folds, project_algebra(np.array(sums).reshape(-1, n, n))):
+        if w.part == "re":
+            grads[t, k] -= w.coeff * P
+        else:
+            grads[t, k] += w.coeff * P
+    return grads
 
 
 # an occurrence of ``G`` contributes the cyclic chain starting at the
@@ -158,12 +161,12 @@ def letter_gradient(obs: Observable, env, letter: str):
     Used for the ``J`` slot on the phase space and for either slot of the
     double.
     """
-    return _occurrence_gradient(obs, env, {letter: (1, -1, 1)})
+    return _gradient_stacks((obs,), env, (letter,))[0, 0]
 
 
 def left_group_gradient(obs: Observable, env):
     """Gradient of ``g -> e^{tA} g`` variations."""
-    return _occurrence_gradient(obs, env, _LEFT_GROUP_RULES)
+    return _gradient_stacks((obs,), env, (_LEFT_GROUP_RULES,))[0, 0]
 
 
 def substitute(obs: Observable, mapping) -> Observable:

@@ -299,6 +299,51 @@ def test_project_algebra_equals_the_identity_subtraction_bit_for_bit(n):
             assert project_algebra(X).tobytes() == oracle.tobytes()
 
 
+def _reference_project_algebra(M):
+    # the one-matrix projection, diagonal taken off by fancy indexing
+    n = M.shape[0]
+    A = 0.5 * (M - M.conj().T)
+    A[np.diag_indices(n)] -= np.trace(A) / n
+    return A
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_projection_equals_the_one_matrix_projection_bit_for_bit(n):
+    rng = np.random.default_rng(500 + n)
+    M = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal((300, n, n))
+    # signed zeros, exact cancellations and integer entries
+    M[0::6] = 0.0
+    M[1::6] = -0.0
+    M[2::6].real = -0.0
+    M[3::6] = np.round(M[3::6])
+    M[4::6] = M[4::6] + M[4::6].conj().swapaxes(-1, -2)
+    stack = project_algebra(M.reshape(3, 100, n, n)).reshape(300, n, n)
+    for X, P in zip(M, stack):
+        assert P.tobytes() == project_algebra(X).tobytes()
+        assert P.tobytes() == _reference_project_algebra(X).tobytes()
+    assert project_algebra(M[:0]).shape == (0, n, n)
+    with pytest.raises(ShapeError):
+        project_algebra(np.zeros((4, n, n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_adjoint_and_bracket_equal_the_one_matrix_calls_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(520 + n)
+    g, J = random_group(ctx, rng), random_algebra(ctx, rng)
+    X = np.array([random_algebra(ctx, rng) for _ in range(20)])
+    pushed = adjoint(g, X)
+    brackets = lie_bracket(pushed, J)
+    for Xk, Pk, Bk in zip(X, pushed, brackets):
+        P = g @ Xk @ g.conj().T
+        assert Pk.tobytes() == P.tobytes()
+        assert Bk.tobytes() == (P @ J - J @ P).tobytes()
+    with pytest.raises(ShapeError):
+        adjoint(g, np.zeros((3, n + 1, n + 1)))
+    with pytest.raises(ShapeError):
+        inner(X, X)
+
+
 def test_basis_coordinates_rejects_wrong_shapes():
     ctx = GroupContext(3)
     for bad in (np.zeros((3, 2)), np.eye(2), np.zeros(9), np.zeros((4, 2, 3)), np.zeros((2, 4, 4))):

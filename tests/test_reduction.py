@@ -4,22 +4,39 @@ import numpy as np
 import pytest
 
 from redint.apposition import build_frame, random_partner_algebra, random_torus_group, solve_moment_equation
-from redint.free_motion import DoublePoint, casimir_value, constants_map
+from redint.free_motion import (
+    DoublePoint,
+    casimir_double,
+    casimir_value,
+    constants_map,
+    pullback,
+    slot_gradients,
+)
 from redint.groups import (
     H_FD,
     GroupContext,
     StructureError,
     adjoint,
     basis_coordinates,
+    lie_bracket,
     joint_centralizer_dim,
     random_algebra,
     random_group,
 )
-from redint.phase import PhasePoint, act, fd_directional, moment_map, random_phase_point
+from redint.phase import (
+    PhasePoint,
+    act,
+    bracket_from_gradients,
+    fd_directional,
+    gradients,
+    moment_map,
+    random_phase_point,
+)
 from redint.reduction import (
     centrality_defect,
     classify,
     constants_differential_matrix,
+    double_differential_matrix,
     double_orbit_dim,
     gauge_directions,
     gauge_matrix,
@@ -248,6 +265,66 @@ def test_max_centrality_defect_equals_the_per_pair_defects_bit_for_bit(n):
         assert max_centrality_defect(x, gens[-1:]) == max(
             centrality_defect(x, k, gens[-1]) for k in range(2, n + 1)
         )
+
+
+# References: the per-generator formulas, one gradient call per word and slot.
+
+
+def _reference_pullback_row(x, gen):
+    gX, gY = slot_gradients(gen, constants_map(x))
+    pushed = adjoint(x.g, gX)
+    return basis_coordinates(x.context, np.array([lie_bracket(pushed, x.J), pushed + gY])).ravel()
+
+
+def _reference_double_differential_matrix(z, gens):
+    ctx = GroupContext(z.n)
+    return np.array(
+        [basis_coordinates(ctx, np.array(slot_gradients(gen, z))).ravel() for gen in gens]
+    )
+
+
+def _reference_max_centrality_defect(x, gens):
+    grads = [gradients(pullback(gen), x) for gen in gens]
+    worst = 0.0
+    for k in range(2, x.n + 1):
+        ck = gradients(pullback(casimir_double(k, "Y")), x)
+        for gh in grads:
+            worst = max(worst, abs(bracket_from_gradients(x.J, ck, gh)))
+    return worst
+
+
+def _mixed_generators(ctx, rng):
+    # invariant words, and pairings with a constant that differ only in it
+    e, f = random_algebra(ctx, rng), random_algebra(ctx, rng)
+    return word_generators(5) + (
+        observable(word((e, "X", "Y"), "im", 0.5)),
+        observable(word((f, "X", "Y"), "im", 0.5), word(("Y", "X", "X"), "re", -2.0)),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_differential_matrices_equal_the_per_generator_formulas_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(110 + n)
+    for _ in range(3):
+        gens = _mixed_generators(ctx, rng)
+        x = random_phase_point(ctx, rng)
+        want = np.array([_reference_pullback_row(x, gen) for gen in gens])
+        assert constants_differential_matrix(x, gens).tobytes() == want.tobytes()
+        assert pullback_differential_row(x, gens[7]).tobytes() == want[7].tobytes()
+        z = DoublePoint(random_algebra(ctx, rng), random_algebra(ctx, rng))
+        want = _reference_double_differential_matrix(z, gens)
+        assert double_differential_matrix(z, gens).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_max_centrality_defect_equals_the_per_generator_formula(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(120 + n)
+    for _ in range(3):
+        gens = _mixed_generators(ctx, rng)
+        x = random_phase_point(ctx, rng)
+        assert max_centrality_defect(x, gens) == _reference_max_centrality_defect(x, gens)
 
 
 @pytest.mark.parametrize("ctx", [CTX2, CTX3])

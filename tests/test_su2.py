@@ -158,6 +158,14 @@ def test_reduced_dynamics_match():
     assert comp.time_scale == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("steps", [0, -5])
+def test_step_count_below_one_is_rejected(steps):
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        integrate_sutherland(SliceCoords(np.pi / 3, 0.0, 1.0), T=2.0, steps=steps)
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        reduced_dynamics_match(SliceCoords(np.pi / 3, 0.0, 1.0), T=2.0, steps=steps)
+
+
 def test_equilibrium_is_stationary():
     comp = reduced_dynamics_match(SliceCoords(EXCEPTIONAL_Q, 0.0, 1.0), T=2.0, steps=2_000)
     assert comp.max_deviation < 1e-8

@@ -13,7 +13,10 @@ from redint.groups import (
     random_group,
 )
 from redint.words import (
+    _LEFT_GROUP_RULES,
+    Observable,
     TraceWord,
+    _gradient_stacks,
     evaluate,
     left_group_gradient,
     letter_gradient,
@@ -171,6 +174,51 @@ def test_gradients_equal_the_per_symbol_reference_bit_for_bit(n):
             assert np.array_equal(
                 letter_gradient(obs, env, letter), _reference_letter_gradient(obs, env, letter)
             )
+
+
+def _reference_gradient(obs, env, table):
+    if not obs.words:
+        return np.zeros_like(env["J"])
+    if table is _LEFT_GROUP_RULES:
+        return _reference_left_group_gradient(obs, env)
+    return _reference_letter_gradient(obs, env, table)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_kernel_equals_the_per_observable_reference_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(80 + n)
+    tables = ("G", "Ginv", "J", "X", "Y", _LEFT_GROUP_RULES)
+    for _ in range(8 if n < 8 else 3):
+        g = random_group(ctx, rng)
+        env = {"G": g, "Ginv": g.conj().T}
+        for symbol in ("J", "X", "Y"):
+            env[symbol] = random_algebra(ctx, rng)
+        A, B = random_algebra(ctx, rng), np.diag(rng.standard_normal(n))
+        alphabet = ("G", "Ginv", "J", "X", "Y", A, B)
+        observables = [Observable(())]
+        for _ in range(10):
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                picks = rng.integers(0, len(alphabet), size=int(rng.integers(1, 9)))
+                part = ("re", "im")[int(rng.integers(0, 2))]
+                terms.append(word([alphabet[k] for k in picks], part, float(rng.standard_normal())))
+            observables.append(observable(*terms))
+        # repeated letters, and two words that differ only in the constant
+        # at their first position
+        observables += [
+            observable(word(("X", "X", "Y", "X", "G", "X"), "im", 0.5), word(("J", "J"), "re", 2.0)),
+            observable(word((A, "X", "Ginv", "G", "Y"))),
+            observable(word((B, "X", "Ginv", "G", "Y"))),
+            observable(word(("X",))),
+        ]
+        stacks = _gradient_stacks(observables, env, tables)
+        assert stacks.shape == (len(tables), len(observables), n, n)
+        for table, stack in zip(tables, stacks):
+            for obs, grad in zip(observables, stack):
+                assert np.array_equal(grad, _reference_gradient(obs, env, table))
+        # the gradient of Re tr(X) vanishes exactly; folded from zero, it is +0
+        assert not np.signbit(stacks[3, -1].view(float)).any()
 
 
 def test_substitute_expands_letters():
