@@ -29,10 +29,9 @@ from .groups import (
     inner,
     lie_bracket,
     numerical_rank,
-    orthonormal_basis,
     project_algebra,
 )
-from .phase import PhasePoint, act, fd_directional, poisson_bracket
+from .phase import PhasePoint, act, chart_basis, fd_directional, poisson_bracket
 
 # part/sign of Re[i^k tr(W^k)] as a function of k mod 4
 _CASIMIR_PART = {0: ("re", 1.0), 1: ("im", -1.0), 2: ("re", -1.0), 3: ("im", 1.0)}
@@ -75,10 +74,12 @@ def casimir(k: int) -> InvariantHamiltonian:
     return InvariantHamiltonian(k)
 
 
-def casimir_value(k: int, M) -> float:
-    """``Re[i^k tr(M^k)]`` for any algebra element ``M``."""
+def casimir_value(k: int, M):
+    """``Re[i^k tr(M^k)]`` for any algebra element ``M``; an array over a
+    stack ``(..., n, n)``."""
     M = np.asarray(M)
-    return float(((1j**k) * np.trace(np.linalg.matrix_power(M, k))).real)
+    v = ((1j**k) * np.trace(np.linalg.matrix_power(M, k), axis1=-2, axis2=-1)).real
+    return float(v) if v.ndim == 0 else v
 
 
 def casimir_double(k: int, letter: str) -> w.Observable:
@@ -189,28 +190,26 @@ def poisson_map_defect(f: w.Observable, h: w.Observable, x: PhasePoint) -> float
 
 
 def chart_directions(ctx: GroupContext):
-    """The ``2 dim_g`` right-trivialized chart directions ``(a, b)``."""
-    basis = orthonormal_basis(ctx)
-    zero = np.zeros((ctx.n, ctx.n), dtype=complex)
-    return [(e, zero) for e in basis] + [(zero, e) for e in basis]
+    """The ``2 dim_g`` right-trivialized chart directions ``(a, b)``, the
+    slices of :func:`chart_basis` pair by pair."""
+    return list(zip(*chart_basis(ctx)))
 
 
 def _flatten_double(z: DoublePoint):
-    return np.concatenate(
-        [z.X.real.ravel(), z.X.imag.ravel(), z.Y.real.ravel(), z.Y.imag.ravel()]
-    )
+    lead = z.X.shape[:-2]
+    parts = (z.X.real, z.X.imag, z.Y.real, z.Y.imag)
+    return np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
 
 
 def constants_map_jacobian(x: PhasePoint, h: float):
-    """Jacobian of the constants map, column by column by central differences.
+    """Jacobian of the constants map by central differences, all columns from
+    one stacked stencil.
 
     Columns follow :func:`chart_directions`; rows flatten both components of
     the double into real coordinates.
     """
     flat = lambda y: _flatten_double(constants_map(y))
-    return np.column_stack(
-        [fd_directional(flat, x, a, b, h) for a, b in chart_directions(x.context)]
-    )
+    return np.ascontiguousarray(fd_directional(flat, x, *chart_basis(x.context), h).T)
 
 
 def constants_map_differential(x: PhasePoint, a, b):

@@ -36,6 +36,7 @@ from .groups import (
 )
 from .phase import (
     PhasePoint,
+    chart_basis,
     evaluate,
     fd_bracket_with,
     fd_directional,
@@ -158,10 +159,8 @@ def _check_bracket_axioms(cfg: ExperimentConfig):
         worst_leibniz = max(worst_leibniz, abs(lhs - rhs))
         left, fiber = product_gradients(F, G, x)
         prod = lambda y: evaluate(F, y) * evaluate(G, y)
-        zero = np.zeros_like(x.J)
-        for e in orthonormal_basis(ctx):
-            fd_l = fd_directional(prod, x, e, zero, H_FD)
-            fd_f = fd_directional(prod, x, zero, e, H_FD)
+        fd = fd_directional(prod, x, *chart_basis(ctx), H_FD)
+        for e, fd_l, fd_f in zip(orthonormal_basis(ctx), fd[: ctx.dim_g], fd[ctx.dim_g :]):
             worst_product_fd = max(
                 worst_product_fd,
                 abs(fd_l - inner(e, left)),

@@ -25,11 +25,11 @@ from .groups import (
     H_FD,
     GroupContext,
     ShapeError,
+    basis_stack,
     from_coordinates,
     group_exp,
     inner,
     lie_bracket,
-    orthonormal_basis,
 )
 
 
@@ -56,10 +56,11 @@ class PhasePoint:
 
 def environment(x: PhasePoint):
     """Letter bindings for evaluating phase-space observables at ``x``."""
-    return {"G": x.g, "Ginv": x.g.conj().T, "J": x.J}
+    return {"G": x.g, "Ginv": x.g.conj().swapaxes(-1, -2), "J": x.J}
 
 
-def evaluate(F: w.Observable, x: PhasePoint) -> float:
+def evaluate(F: w.Observable, x: PhasePoint):
+    """Value of ``F`` at ``x``: a float, or an array over a stack of points."""
     return w.evaluate(F, environment(x))
 
 
@@ -101,18 +102,35 @@ def hamiltonian_velocity(H: w.Observable, x: PhasePoint):
     return a, -gH - lie_bracket(x.J, a)
 
 
-def shift(x: PhasePoint, a, b, t: float) -> PhasePoint:
-    """Point ``(exp(t a) g, J + t b)`` of the right-trivialized chart."""
+def shift(x: PhasePoint, a, b, t) -> PhasePoint:
+    """Points ``(exp(t a) g, J + t b)`` of the right-trivialized chart, one per
+    step of ``t`` and direction of the stacks ``(a, b)``, shape
+    ``t.shape + a.shape``; the group parts come from one :func:`group_exp`."""
+    t = np.asarray(t, dtype=float)
+    t = t.reshape(t.shape + (1,) * np.ndim(a))
     return PhasePoint(group_exp(t * a) @ x.g, x.J + t * b)
+
+
+def chart_basis(ctx: GroupContext):
+    """The ``2 dim_g`` chart directions ``[E; 0], [0; E]`` as two stacks, ``E``
+    the :func:`basis_stack`."""
+    E = basis_stack(ctx)
+    Z = np.zeros_like(E)
+    return np.concatenate([E, Z]), np.concatenate([Z, E])
 
 
 def fd_directional(F_value, x: PhasePoint, a, b, h: float):
     """Central finite difference of a scalar- or array-valued point function
-    along the chart curve."""
-    return (F_value(shift(x, a, b, h)) - F_value(shift(x, a, b, -h))) / (2.0 * h)
+    along the chart curve of each direction of the stacks ``(a, b)``.
+
+    ``F_value`` takes a stack of points; it is called once, on the
+    :func:`shift` of ``x`` by the steps ``[h, -h]``.
+    """
+    v = F_value(shift(x, a, b, [h, -h]))
+    return (v[0] - v[1]) / (2.0 * h)
 
 
-def directional_derivative(F: w.Observable, x: PhasePoint, a, b, h: float) -> float:
+def directional_derivative(F: w.Observable, x: PhasePoint, a, b, h: float):
     """Central finite difference of ``F`` along the chart curve of ``(a, b)``."""
     return fd_directional(lambda y: evaluate(F, y), x, a, b, h)
 
@@ -120,21 +138,18 @@ def directional_derivative(F: w.Observable, x: PhasePoint, a, b, h: float) -> fl
 def fd_gradients(F: w.Observable, x: PhasePoint, h: float):
     """Finite-difference oracle for :func:`gradients`, in the same order."""
     ctx = x.context
-    zero = np.zeros_like(x.J)
-    basis = orthonormal_basis(ctx)
-    left = [directional_derivative(F, x, e, zero, h) for e in basis]
-    fiber = [directional_derivative(F, x, zero, e, h) for e in basis]
-    return from_coordinates(ctx, left), from_coordinates(ctx, fiber)
+    d = directional_derivative(F, x, *chart_basis(ctx), h)
+    return from_coordinates(ctx, d[: ctx.dim_g]), from_coordinates(ctx, d[ctx.dim_g :])
 
 
 def fd_bracket_with(F_value, H: w.Observable, x: PhasePoint, h: float) -> float:
     """Bracket ``{P, H}`` of a black-box function ``P`` with an observable.
 
-    ``P`` only needs point evaluations; the derivative is taken along the
-    exact Hamiltonian direction of ``H`` by a fourth-order central stencil,
-    which keeps the truncation error below the roundoff floor. Used for
-    nested brackets and product observables, which leave the trace-word
-    family.
+    ``P`` only needs point evaluations, one point per call; the derivative is
+    taken along the exact Hamiltonian direction of ``H`` by a fourth-order
+    central stencil, whose four points come from one :func:`shift`, which
+    keeps the truncation error below the roundoff floor. Used for nested
+    brackets and product observables, which leave the trace-word family.
     """
     a, b = hamiltonian_velocity(H, x)
     speed = float(np.sqrt(inner(a, a) + inner(b, b)))
@@ -143,9 +158,9 @@ def fd_bracket_with(F_value, H: w.Observable, x: PhasePoint, h: float) -> float:
     # keep the chart step bounded in arc length; balances the fourth-order
     # truncation against the roundoff floor for fast directions
     s = max(h, 6e-4) / max(speed, 1.0)
-    f1 = F_value(shift(x, a, b, s)) - F_value(shift(x, a, b, -s))
-    f2 = F_value(shift(x, a, b, 2.0 * s)) - F_value(shift(x, a, b, -2.0 * s))
-    return (8.0 * f1 - f2) / (12.0 * s)
+    y = shift(x, a, b, [s, -s, 2.0 * s, -2.0 * s])
+    f = [F_value(PhasePoint(g, J)) for g, J in zip(y.g, y.J)]
+    return (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * s)
 
 
 def product_gradients(F: w.Observable, G: w.Observable, x: PhasePoint):
@@ -174,8 +189,9 @@ def act(eta, x: PhasePoint) -> PhasePoint:
 
 
 def moment_map(x: PhasePoint):
-    """Conserved su(n) value ``J - g^{-1} J g`` generating the conjugation action."""
-    return x.J - x.g.conj().T @ x.J @ x.g
+    """Conserved su(n) value ``J - g^{-1} J g`` generating the conjugation
+    action, at one point or a stack of points."""
+    return x.J - x.g.conj().swapaxes(-1, -2) @ x.J @ x.g
 
 
 def moment_observable(X) -> w.Observable:

@@ -80,23 +80,25 @@ def _resolve(letter, env):
     return letter
 
 
-def _word_matrices(w: TraceWord, env):
+def _word_matrices(w: TraceWord, env, stack=False):
     mats = [np.asarray(_resolve(letter, env)) for letter in w.letters]
-    n = mats[0].shape[0]
+    n = mats[0].shape[-1]
     for m in mats:
-        if m.shape != (n, n):
-            raise ShapeError("letters evaluate to matrices of different sizes")
+        if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-2:] != (n, n):
+            want = "(..., n, n)" if stack else "(n, n)"
+            raise ShapeError(f"letters evaluate to {[m.shape for m in mats]}, not {want} of one n")
     return mats
 
 
-def evaluate(obs: Observable, env) -> float:
-    """Value of the observable; always a finite real number."""
-    total = 0.0
+def evaluate(obs: Observable, env):
+    """Value of the observable: a finite real number, or an array over the
+    stacks ``(..., n, n)`` the environment binds, each entry its one-point value."""
+    lead = np.broadcast_shapes(*(np.shape(m)[:-2] for m in env.values()))
+    total = np.zeros(lead)
     for w in obs.words:
-        mats = _word_matrices(w, env)
-        t = np.trace(reduce(np.matmul, mats))
+        t = np.trace(reduce(np.matmul, _word_matrices(w, env, stack=True)), axis1=-2, axis2=-1)
         total += w.coeff * (t.real if w.part == "re" else t.imag)
-    return float(total)
+    return float(total) if total.ndim == 0 else total
 
 
 def _gradient_stacks(observables, env, tables):
@@ -109,7 +111,7 @@ def _gradient_stacks(observables, env, tables):
     last letter. Each term's ``S`` or ``1j * S`` goes through one stacked
     :func:`project_algebra`, and each gradient folds its terms from zero.
     """
-    n = np.asarray(next(iter(env.values()))).shape[0]
+    n = np.asarray(next(iter(env.values()))).shape[-1]
     tables = [{t: (1, -1, 1)} if isinstance(t, str) else t for t in tables]
     memo = {}
     sums, folds = [], []

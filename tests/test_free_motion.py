@@ -33,6 +33,7 @@ from redint.groups import (
     group_exp,
     inner,
     lie_bracket,
+    orthonormal_basis,
     random_algebra,
     random_group,
 )
@@ -227,6 +228,55 @@ def test_constants_map_jacobian_matches_analytic_differential():
             [dX.real.ravel(), dX.imag.ravel(), dY.real.ravel(), dY.imag.ravel()]
         )
         assert np.linalg.norm(M[:, col] - exact) < 1e-8
+
+
+def _reference_constants_map_jacobian(x, h):
+    """The column-by-column Jacobian from before the stencil took stacks."""
+    ctx = x.context
+
+    def flat(y):
+        z = constants_map(y)
+        return np.concatenate(
+            [z.X.real.ravel(), z.X.imag.ravel(), z.Y.real.ravel(), z.Y.imag.ravel()]
+        )
+
+    def column(a, b):
+        shift = lambda t: PhasePoint(group_exp(t * a) @ x.g, x.J + t * b)
+        return (flat(shift(h)) - flat(shift(-h))) / (2.0 * h)
+
+    zero = np.zeros((ctx.n, ctx.n), dtype=complex)
+    basis = orthonormal_basis(ctx)
+    return np.column_stack([column(e, zero) for e in basis] + [column(zero, e) for e in basis])
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3, GroupContext(5)])
+def test_stacked_jacobian_equals_the_column_loop_bit_for_bit(ctx):
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        x = random_phase_point(ctx, rng)
+        M = constants_map_jacobian(x, H_FD)
+        assert M.shape == (4 * ctx.n * ctx.n, 2 * ctx.dim_g)
+        assert M.flags.c_contiguous
+        assert np.array_equal(M, _reference_constants_map_jacobian(x, H_FD))
+        directions = chart_directions(ctx)
+        assert len(directions) == 2 * ctx.dim_g
+        for (a, b), e in zip(directions, orthonormal_basis(ctx) + orthonormal_basis(ctx)):
+            assert np.array_equal(a + b, e) and not np.any(a * b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_casimir_value_equals_the_one_matrix_calls_bit_for_bit(n):
+    rng = np.random.default_rng(19 + n)
+    ctx = GroupContext(n)
+    M = np.array([random_algebra(ctx, rng) for _ in range(6)]).reshape(2, 3, n, n)
+    for k in range(2, n + 1):
+        values = casimir_value(k, M)
+        assert values.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = casimir_value(k, M[idx])
+            assert type(one) is float
+            assert values[idx] == one
+            assert one == float(((1j**k) * np.trace(np.linalg.matrix_power(M[idx], k))).real)
 
 
 def test_casimir_difference_checks():

@@ -8,9 +8,11 @@ from redint.groups import (
     TAU_FD,
     GroupContext,
     ShapeError,
+    from_coordinates,
     group_exp,
     inner,
     lie_bracket,
+    orthonormal_basis,
     random_algebra,
     random_group,
 )
@@ -18,8 +20,11 @@ from redint.phase import (
     PhasePoint,
     act,
     bracket_from_gradients,
+    chart_basis,
+    environment,
     evaluate,
     fd_bracket_with,
+    fd_directional,
     fd_gradients,
     fiber_gradient,
     gradients,
@@ -31,9 +36,10 @@ from redint.phase import (
     poisson_bracket,
     product_bracket,
     random_phase_point,
+    shift,
 )
 from redint.free_motion import constants_map, slot_gradients
-from redint.words import Observable, observable, random_observable, word
+from redint.words import Observable, letter_gradient, observable, random_observable, word
 
 CTX2 = GroupContext(2)
 CTX3 = GroupContext(3)
@@ -259,3 +265,118 @@ def test_observable_without_terms_has_zero_gradients(ctx):
     H = random_observable(rng, ("G", "Ginv", "J"), max_len=3)
     assert poisson_bracket(empty, H, x) == 0.0
     assert poisson_bracket(H, empty, x) == 0.0
+
+
+# The one-direction stencil that shift, fd_directional, fd_gradients and
+# fd_bracket_with ran before they took stacks: one group_exp per step.
+
+
+def _reference_shift(x, a, b, t):
+    return PhasePoint(group_exp(t * a) @ x.g, x.J + t * b)
+
+
+def _reference_fd_directional(F_value, x, a, b, h):
+    plus, minus = F_value(_reference_shift(x, a, b, h)), F_value(_reference_shift(x, a, b, -h))
+    return (plus - minus) / (2.0 * h)
+
+
+def _reference_fd_gradients(F, x, h):
+    ctx = x.context
+    zero = np.zeros_like(x.J)
+    basis = orthonormal_basis(ctx)
+    left = [_reference_fd_directional(lambda y: evaluate(F, y), x, e, zero, h) for e in basis]
+    fiber = [_reference_fd_directional(lambda y: evaluate(F, y), x, zero, e, h) for e in basis]
+    return from_coordinates(ctx, left), from_coordinates(ctx, fiber)
+
+
+def _reference_fd_bracket_with(F_value, H, x, h):
+    a, b = hamiltonian_velocity(H, x)
+    speed = float(np.sqrt(inner(a, a) + inner(b, b)))
+    if speed == 0.0:
+        return 0.0
+    s = max(h, 6e-4) / max(speed, 1.0)
+    f1 = F_value(_reference_shift(x, a, b, s)) - F_value(_reference_shift(x, a, b, -s))
+    f2 = F_value(_reference_shift(x, a, b, 2.0 * s)) - F_value(_reference_shift(x, a, b, -2.0 * s))
+    return (8.0 * f1 - f2) / (12.0 * s)
+
+
+def _stacked_points(ctx, rng, count):
+    points = [random_phase_point(ctx, rng) for _ in range(count)]
+    return PhasePoint(np.array([p.g for p in points]), np.array([p.J for p in points]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_stencil_equals_the_per_direction_stencil_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(90 + n)
+    for _ in range(3):
+        x = random_phase_point(ctx, rng)
+        E, Z = chart_basis(ctx)
+        extra = [random_algebra(ctx, rng) for _ in range(4)]
+        A = np.concatenate([E, [extra[0], extra[1]]])
+        B = np.concatenate([Z, [extra[2], np.zeros((n, n), dtype=complex)]])
+        steps = [H_FD, -H_FD, 0.3, 0.0]
+        shifted = shift(x, A, B, steps)
+        assert shifted.g.shape == (len(steps), len(A), n, n)
+        for i, t in enumerate(steps):
+            for d in range(len(A)):
+                ref = _reference_shift(x, A[d], B[d], t)
+                assert np.array_equal(shifted.g[i, d], ref.g)
+                assert np.array_equal(shifted.J[i, d], ref.J)
+        one = shift(x, A[-1], B[-1], 0.3)
+        assert one.g.shape == (n, n)
+        assert np.array_equal(one.g, _reference_shift(x, A[-1], B[-1], 0.3).g)
+
+        F, G = (random_observable(rng, ("G", "Ginv", "J"), max_len=4) for _ in range(2))
+        for F_value in (
+            lambda y: evaluate(F, y),
+            lambda y: evaluate(F, y) * evaluate(G, y),
+            moment_map,
+        ):
+            got = fd_directional(F_value, x, A, B, H_FD)
+            want = [_reference_fd_directional(F_value, x, a, b, H_FD) for a, b in zip(A, B)]
+            assert np.array_equal(got, np.array(want))
+        for got, want in zip(fd_gradients(F, x, H_FD), _reference_fd_gradients(F, x, H_FD)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_fd_bracket_with_equals_the_four_shift_stencil_bit_for_bit(ctx):
+    rng = np.random.default_rng(95)
+    for _ in range(10):
+        x = random_phase_point(ctx, rng)
+        F, G, H = (random_observable(rng, ("G", "Ginv", "J"), max_len=3) for _ in range(3))
+        for F_value in (
+            lambda y: poisson_bracket(G, H, y),
+            lambda y: evaluate(F, y) * evaluate(G, y),
+        ):
+            got = fd_bracket_with(F_value, H, x, H_FD)
+            assert got == _reference_fd_bracket_with(F_value, H, x, H_FD)
+    still = PhasePoint(random_group(ctx, rng), np.zeros((ctx.n, ctx.n), dtype=complex))
+    assert fd_bracket_with(lambda y: evaluate(F, y), Observable(()), still, H_FD) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_moment_map_equals_the_one_point_calls_bit_for_bit(n):
+    rng = np.random.default_rng(97 + n)
+    stack = _stacked_points(GroupContext(n), rng, 6)
+    stacked = moment_map(stack)
+    assert stacked.shape == (6, n, n)
+    for g, J, mu in zip(stack.g, stack.J, stacked):
+        assert np.array_equal(mu, moment_map(PhasePoint(g, J)))
+        assert np.array_equal(mu, J - g.conj().T @ J @ g)
+
+
+def test_the_gradient_kernel_rejects_a_stacked_environment():
+    rng = np.random.default_rng(98)
+    stack = _stacked_points(CTX3, rng, 2)
+    F = observable(word(("Ginv", "J", "G", "J")))
+    with pytest.raises(ShapeError):
+        letter_gradient(F, environment(stack), "J")
+    with pytest.raises(ShapeError):
+        gradients(F, stack)
+    # one point whose letters differ in n, and a stack of them
+    mixed = {"G": stack.g[0], "Ginv": stack.g[0], "J": np.zeros((2, 2), dtype=complex)}
+    for env in (mixed, {k: np.stack([v, v]) for k, v in mixed.items()}):
+        with pytest.raises(ShapeError):
+            letter_gradient(F, env, "J")

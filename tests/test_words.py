@@ -1,10 +1,13 @@
 """Tests for the trace-word machinery, independent of any phase-space chart."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from redint.groups import (
     GroupContext,
+    ShapeError,
     group_exp,
     inner,
     orthonormal_basis,
@@ -219,6 +222,58 @@ def test_kernel_equals_the_per_observable_reference_bit_for_bit(n):
                 assert np.array_equal(grad, _reference_gradient(obs, env, table))
         # the gradient of Re tr(X) vanishes exactly; folded from zero, it is +0
         assert not np.signbit(stacks[3, -1].view(float)).any()
+
+
+def _reference_evaluate(obs, env):
+    """The one-point ``evaluate`` from before it took stacks."""
+    total = 0.0
+    for w in obs.words:
+        mats = [np.asarray(env[lt]) if isinstance(lt, str) else lt for lt in w.letters]
+        t = np.trace(reduce(np.matmul, mats))
+        total += w.coeff * (t.real if w.part == "re" else t.imag)
+    return float(total)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_evaluate_equals_the_one_point_calls_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(70 + n)
+    lead = (2, 3)
+    g = np.array([random_group(ctx, rng) for _ in range(6)]).reshape(lead + (n, n))
+    env = {"G": g, "Ginv": g.conj().swapaxes(-1, -2)}
+    for symbol in ("J", "X", "Y"):
+        env[symbol] = np.array([random_algebra(ctx, rng) for _ in range(6)]).reshape(lead + (n, n))
+    A, B = random_algebra(ctx, rng), np.diag(rng.standard_normal(n))
+    alphabet = ("G", "Ginv", "J", "X", "Y", A, B)
+    observables = [
+        Observable(()),
+        observable(word((A, B), "im", 0.5), word((B,), "re", -2.0)),
+        observable(word(("J", A, "J"), "re"), word(("G", B, "Ginv", "X"), "im", 3.0)),
+    ]
+    for _ in range(20):
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            picks = rng.integers(0, len(alphabet), size=int(rng.integers(1, 8)))
+            part = ("re", "im")[int(rng.integers(0, 2))]
+            terms.append(word([alphabet[k] for k in picks], part, float(rng.standard_normal())))
+        observables.append(observable(*terms))
+    for obs in observables:
+        values = evaluate(obs, env)
+        assert values.shape == lead
+        for idx in np.ndindex(lead):
+            one = {k: v[idx] for k, v in env.items()}
+            assert type(evaluate(obs, one)) is float
+            assert values[idx] == evaluate(obs, one) == _reference_evaluate(obs, one)
+
+
+def test_letters_of_different_sizes_are_rejected_in_a_stack():
+    env = {"X": np.zeros((4, 3, 3), dtype=complex), "Y": np.zeros((4, 2, 2), dtype=complex)}
+    with pytest.raises(ShapeError):
+        evaluate(observable(word(("X", "Y"))), env)
+    with pytest.raises(ShapeError):
+        evaluate(observable(word(("X", np.eye(2)))), env)
+    with pytest.raises(ShapeError):
+        letter_gradient(observable(word(("X", "X"))), env, "X")
 
 
 def test_substitute_expands_letters():
