@@ -88,9 +88,18 @@ def inner(X, Y) -> float:
     return float(-np.trace(X @ Y).real)
 
 
-def norm(X) -> float:
-    """Norm induced by :func:`inner`; equals the Frobenius norm on su(n)."""
-    return float(np.linalg.norm(X))
+def norm(X):
+    """Norm induced by :func:`inner`; equals the Frobenius norm on su(n).
+
+    A float for one matrix; for a stack ``(..., n, n)`` the array of slice
+    norms, each equal bit for bit to ``np.linalg.norm`` of the slice's C-order
+    copy (of the slice itself when it is C-contiguous).
+    """
+    X = _require_square(X, stack=True)
+    # vecdot over the strided real and imaginary views, as np.linalg.norm dots them
+    f = np.ascontiguousarray(X).reshape(-1, X.shape[-1] ** 2)
+    out = np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag)).reshape(X.shape[:-2])
+    return float(out) if out.ndim == 0 else out
 
 
 def lie_bracket(X, Y):

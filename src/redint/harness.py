@@ -479,23 +479,13 @@ def _check_moment_equation(cfg: ExperimentConfig):
 def _check_su2_energy(cfg: ExperimentConfig):
     worst_energy = worst_moment = worst_image = 0.0
     for x_val in su2.X_GRID:
-        for q in su2.Q_GRID:
-            for p in su2.P_GRID:
-                c = su2.SliceCoords(q, p, x_val)
-                worst_energy = max(worst_energy, su2.energy_identity_residual(c))
-                pt = su2.slice_point(c)
-                worst_moment = max(
-                    worst_moment,
-                    float(np.linalg.norm(moment_map(pt) - su2.slice_moment_value(x_val))),
-                )
-                worst_image = max(
-                    worst_image,
-                    float(
-                        np.linalg.norm(
-                            fm.constants_map(pt).X - su2.slice_image_first_component(c)
-                        )
-                    ),
-                )
+        c = su2.slice_grid(x_val)
+        pt = su2.slice_point(c)
+        moment = norm(moment_map(pt) - su2.slice_moment_value(c.x))
+        image = norm(fm.constants_map(pt).X - su2.slice_image_first_component(c))
+        worst_energy = max(worst_energy, float(np.max(su2.energy_identity_residual(c))))
+        worst_moment = max(worst_moment, float(np.max(moment)))
+        worst_image = max(worst_image, float(np.max(image)))
     observed = {
         "max_energy_identity_residual": worst_energy,
         "max_moment_mismatch": worst_moment,

@@ -38,17 +38,22 @@ class GaugeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SliceCoords:
-    """Slice coordinates ``(q, p, x)`` with ``0 < q < pi`` and ``x > 0``."""
+    """Slice coordinates ``(q, p, x)`` with ``0 < q < pi`` and ``x > 0``, all
+    finite; floats, or arrays of one shape for a stack of slice points."""
 
     q: float
     p: float
     x: float
 
     def __post_init__(self):
-        if not 0.0 < self.q < np.pi:
+        if not np.shape(self.q) == np.shape(self.p) == np.shape(self.x):
+            raise ValueError("slice coordinates q, p and x must share one shape")
+        if not np.all((0.0 < self.q) & (self.q < np.pi)):
             raise ValueError("angle q must lie strictly between 0 and pi")
-        if not self.x > 0.0:
+        if not np.all(self.x > 0.0):
             raise ValueError("coupling x must be positive")
+        if not np.all(np.isfinite(self.p) & np.isfinite(self.x)):
+            raise ValueError("slice coordinates must be finite")
 
 
 # default scan grids for the slice
@@ -59,46 +64,59 @@ X_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 EXCEPTIONAL_Q = np.pi / 2.0
 
 
+def slice_grid(x_val: float) -> SliceCoords:
+    """The ``Q_GRID x P_GRID`` slice coordinates of coupling ``x_val`` as one
+    stack of shape ``(len(Q_GRID), len(P_GRID))``, q-major."""
+    q, p = np.meshgrid(Q_GRID, P_GRID, indexing="ij")
+    return SliceCoords(q, p, np.full(q.shape, x_val))
+
+
 def slice_point(c: SliceCoords) -> PhasePoint:
-    """The slice representative with moment value ``i x (E12 + E21)``."""
-    q, p, x = c.q, c.p, c.x
-    g = np.diag([np.exp(1j * q), np.exp(-1j * q)])
-    J = np.array(
-        [
-            [1j * p, 1j * x / (1.0 - np.exp(-2j * q))],
-            [1j * x / (1.0 - np.exp(2j * q)), -1j * p],
-        ]
-    )
+    """The slice representative with moment value ``i x (E12 + E21)``; for
+    array coordinates a stack of shape ``q.shape + (2, 2)``."""
+    q, p, x = np.asarray(c.q), np.asarray(c.p), np.asarray(c.x)
+    g = np.zeros(q.shape + (2, 2), dtype=complex)
+    g[..., 0, 0] = np.exp(1j * q)
+    g[..., 1, 1] = np.exp(-1j * q)
+    J = np.empty_like(g)
+    J[..., 0, 0] = 1j * p
+    J[..., 0, 1] = 1j * x / (1.0 - np.exp(-2j * q))
+    J[..., 1, 0] = 1j * x / (1.0 - np.exp(2j * q))
+    J[..., 1, 1] = -1j * p
     return PhasePoint(g, J)
 
 
-def slice_moment_value(x: float):
-    """Closed form of the moment value on the slice."""
-    return np.array([[0.0, 1j * x], [1j * x, 0.0]])
+def slice_moment_value(x):
+    """Closed form of the moment value on the slice, shape ``x.shape + (2, 2)``."""
+    x = np.asarray(x)
+    xi = np.zeros(x.shape + (2, 2), dtype=complex)
+    xi[..., 0, 1] = xi[..., 1, 0] = 1j * x
+    return xi
 
 
 def slice_image_first_component(c: SliceCoords):
-    """Closed form of ``g^{-1} J g`` on the slice."""
-    q, p, x = c.q, c.p, c.x
-    return np.array(
-        [
-            [1j * p, 1j * x / (np.exp(2j * q) - 1.0)],
-            [1j * x / (np.exp(-2j * q) - 1.0), -1j * p],
-        ]
-    )
+    """Closed form of ``g^{-1} J g`` on the slice, shape ``q.shape + (2, 2)``."""
+    q, p, x = np.asarray(c.q), np.asarray(c.p), np.asarray(c.x)
+    X = np.empty(q.shape + (2, 2), dtype=complex)
+    X[..., 0, 0] = 1j * p
+    X[..., 0, 1] = 1j * x / (np.exp(2j * q) - 1.0)
+    X[..., 1, 0] = 1j * x / (np.exp(-2j * q) - 1.0)
+    X[..., 1, 1] = -1j * p
+    return X
 
 
-def sutherland_energy(c: SliceCoords) -> float:
-    """Reduced kinetic energy ``p^2/2 + x^2 / (8 sin^2 q)``."""
-    s = np.sin(c.q)
-    return 0.5 * c.p * c.p + c.x * c.x / (8.0 * s * s)
+def sutherland_energy(c: SliceCoords):
+    """Reduced kinetic energy ``p^2/2 + x^2 / (8 sin^2 q)``, shape ``q.shape``."""
+    p, x, s = np.asarray(c.p), np.asarray(c.x), np.sin(c.q)
+    return 0.5 * p * p + x * x / (8.0 * s * s)
 
 
-def energy_identity_residual(c: SliceCoords) -> float:
-    """``|-1/4 Re tr(J^2) - sutherland_energy|`` at the slice point."""
+def energy_identity_residual(c: SliceCoords):
+    """``|-1/4 Re tr(J^2) - sutherland_energy|`` at the slice point, shape
+    ``q.shape``."""
     J = slice_point(c).J
-    traced = -0.25 * np.trace(J @ J).real
-    return abs(float(traced) - sutherland_energy(c))
+    traced = -0.25 * np.trace(J @ J, axis1=-2, axis2=-1).real
+    return np.abs(traced - sutherland_energy(c))
 
 
 @dataclass(frozen=True)
@@ -126,9 +144,7 @@ def exceptional_point_audit(x_val: float) -> ExceptionalPointAudit:
     stab = joint_centralizer_dim([z.X, z.Y], [])
     span = reduced_hamiltonian_span(x)
     e0 = sutherland_energy(c)
-    grid_min = min(
-        sutherland_energy(SliceCoords(q, p, x_val)) for q in Q_GRID for p in P_GRID
-    )
+    grid_min = np.min(sutherland_energy(slice_grid(x_val)))
     return ExceptionalPointAudit(stab, span, grid_min, bool(e0 <= grid_min + 1e-12))
 
 
@@ -261,15 +277,13 @@ def calibrate_time_scale(x_val: float) -> float:
     """Ratio between the quadratic-Casimir flow time and Sutherland time.
 
     Measured once at a probe point with unit momentum by differencing the
-    regauged angle with step ``1e-6``; with the inner product used here the
-    ratio is 2.
+    regauged angles of the flows to ``+-1e-6``, taken from one stacked
+    :func:`free_flow`; with the inner product used here the ratio is 2.
     """
     h = 1e-6
     probe = SliceCoords(np.pi / 3.0, 1.0, x_val)
-    x0 = slice_point(probe)
-    H = casimir(2)
-    qp = regauge_to_slice(free_flow(x0, H, h)).q
-    qm = regauge_to_slice(free_flow(x0, H, -h)).q
+    y = free_flow(slice_point(probe), casimir(2), [h, -h])
+    qp, qm = (regauge_to_slice(PhasePoint(g, J)).q for g, J in zip(y.g, y.J))
     return float((qp - qm) / (2.0 * h) / probe.p)
 
 

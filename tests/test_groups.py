@@ -18,6 +18,7 @@ from redint.groups import (
     is_regular,
     joint_centralizer_dim,
     lie_bracket,
+    norm,
     numerical_rank,
     orthonormal_basis,
     project_algebra,
@@ -342,6 +343,44 @@ def test_stacked_adjoint_and_bracket_equal_the_one_matrix_calls_bit_for_bit(n):
         adjoint(g, np.zeros((3, n + 1, n + 1)))
     with pytest.raises(ShapeError):
         inner(X, X)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_norm_equals_np_linalg_norm_of_each_slice_bit_for_bit(n):
+    rng = np.random.default_rng(540 + n)
+    M = rng.standard_normal((6, 40, n, n)) + 1j * rng.standard_normal((6, 40, n, n))
+    # widely scaled slices, signed zeros and a real stack
+    M *= 10.0 ** rng.integers(-6, 7, (6, 40, 1, 1))
+    M[0] = -0.0
+    M[1].imag = 0.0
+    stack = norm(M)
+    assert stack.shape == (6, 40)
+    for i, j in np.ndindex(6, 40):
+        want = np.linalg.norm(M[i, j])
+        assert repr(stack[i, j]) == repr(want)
+        one = norm(M[i, j])
+        assert type(one) is float and repr(one) == repr(float(want))
+    real = norm(M.real)
+    for i, j in np.ndindex(6, 40):
+        assert repr(real[i, j]) == repr(np.linalg.norm(M.real[i, j]))
+    # A swap of stack axes keeps each slice C-contiguous, so every entry is
+    # still np.linalg.norm of its slice. A swap of the matrix axes is not:
+    # norm sums each transposed slice in C order, which is np.linalg.norm of
+    # the slice's C-order copy; np.linalg.norm of the view itself sums in
+    # memory order and agrees only up to roundoff.
+    swapped = M.swapaxes(0, 1)
+    assert not swapped.flags.c_contiguous
+    got = norm(swapped)
+    for j, i in np.ndindex(40, 6):
+        assert repr(got[j, i]) == repr(np.linalg.norm(swapped[j, i]))
+    transposed = M.swapaxes(-1, -2)
+    got = norm(transposed)
+    for i, j in np.ndindex(6, 40):
+        assert repr(got[i, j]) == repr(np.linalg.norm(np.ascontiguousarray(transposed[i, j])))
+        assert got[i, j] == pytest.approx(np.linalg.norm(transposed[i, j]), rel=1e-15)
+    assert norm(M[:0]).shape == (0, 40)
+    with pytest.raises(ShapeError):
+        norm(np.zeros((4, n, n + 1)))
 
 
 def test_basis_coordinates_rejects_wrong_shapes():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from redint import su2
+from redint import harness, su2
 from redint.free_motion import casimir, constants_map, free_flow
 from redint.groups import (
     TAU_EIG,
@@ -13,6 +13,7 @@ from redint.groups import (
     check_algebra,
     check_group,
     joint_centralizer_dim,
+    norm,
     random_group,
 )
 from redint.phase import PhasePoint, act, moment_map
@@ -47,6 +48,40 @@ def test_slice_coords_validation():
         SliceCoords(np.pi, 0.0, 1.0)
     with pytest.raises(ValueError):
         SliceCoords(1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "q, p, x",
+    [
+        (1.0, np.nan, 1.0),
+        (1.0, np.inf, 1.0),
+        (1.0, 0.0, np.inf),
+        (1.0, -np.inf, 1.0),
+    ],
+)
+def test_slice_coords_rejects_non_finite_input(q, p, x):
+    with pytest.raises(ValueError, match="finite"):
+        SliceCoords(q, p, x)
+
+
+def test_slice_coords_rejects_non_finite_and_out_of_range_array_entries():
+    q, p = np.meshgrid(Q_GRID, P_GRID, indexing="ij")
+    x = np.full(q.shape, 1.0)
+    SliceCoords(q, p, x)
+    for field, value, message in (
+        ("p", np.nan, "finite"),
+        ("p", -np.inf, "finite"),
+        ("x", np.inf, "finite"),
+        ("x", 0.0, "positive"),
+        ("q", np.nan, "between 0 and pi"),
+        ("q", np.pi, "between 0 and pi"),
+    ):
+        fields = {"q": q.copy(), "p": p.copy(), "x": x.copy()}
+        fields[field][17, 4] = value
+        with pytest.raises(ValueError, match=message):
+            SliceCoords(**fields)
+    with pytest.raises(ValueError, match="one shape"):
+        SliceCoords(q, p, 1.0)
 
 
 def test_slice_point_structure():
@@ -350,3 +385,131 @@ def test_reduced_dynamics_match_keeps_the_rows_before_the_first_gauge_failure(mo
     for field in ("t", "q", "p", "q_oracle", "p_oracle", "energy", "deviation"):
         assert np.array_equal(getattr(cut, field), getattr(full, field)[:k])
     assert cut.max_deviation == max((0.0, *full.deviation[:k]))
+
+
+# References: the per-point slice closed forms and the su2-energy grid loop
+# as written before the stacked forms replaced them.
+
+
+def _reference_slice_point(q, p, x):
+    g = np.diag([np.exp(1j * q), np.exp(-1j * q)])
+    J = np.array(
+        [
+            [1j * p, 1j * x / (1.0 - np.exp(-2j * q))],
+            [1j * x / (1.0 - np.exp(2j * q)), -1j * p],
+        ]
+    )
+    return PhasePoint(g, J)
+
+
+def _reference_image(q, p, x):
+    return np.array(
+        [
+            [1j * p, 1j * x / (np.exp(2j * q) - 1.0)],
+            [1j * x / (np.exp(-2j * q) - 1.0), -1j * p],
+        ]
+    )
+
+
+def _reference_energy(q, p, x):
+    s = np.sin(q)
+    return 0.5 * p * p + x * x / (8.0 * s * s)
+
+
+def _reference_residual(q, p, x):
+    J = _reference_slice_point(q, p, x).J
+    traced = -0.25 * np.trace(J @ J).real
+    return abs(float(traced) - _reference_energy(q, p, x))
+
+
+def _grid():
+    """The (x, q, p) slice grid, q-major within each coupling."""
+    return [(x, q, p) for x in X_GRID for q in Q_GRID for p in P_GRID]
+
+
+@pytest.fixture(scope="module")
+def grid_loop():
+    """Per-point arrays of the su2-energy loop, shape ``(5, 39, 21)``."""
+    cols = {k: [] for k in ("g", "J", "image", "energy", "residual", "moment", "mismatch")}
+    for x, q, p in _grid():
+        pt = _reference_slice_point(q, p, x)
+        image = _reference_image(q, p, x)
+        moment = np.array([[0.0, 1j * x], [1j * x, 0.0]])
+        cols["g"].append(pt.g)
+        cols["J"].append(pt.J)
+        cols["image"].append(image)
+        cols["energy"].append(_reference_energy(q, p, x))
+        cols["residual"].append(_reference_residual(q, p, x))
+        cols["moment"].append(float(np.linalg.norm(moment_map(pt) - moment)))
+        cols["mismatch"].append(float(np.linalg.norm(constants_map(pt).X - image)))
+    shape = (len(X_GRID), len(Q_GRID), len(P_GRID))
+    return {k: np.array(v).reshape(shape + np.shape(v[0])) for k, v in cols.items()}
+
+
+def test_stacked_slice_closed_forms_equal_the_per_point_loop_bit_for_bit(grid_loop):
+    for k, x_val in enumerate(X_GRID):
+        c = su2.slice_grid(x_val)
+        pt = slice_point(c)
+        # tobytes compares every bit, the signs of zeros included
+        assert pt.g.shape == pt.J.shape == (len(Q_GRID), len(P_GRID), 2, 2)
+        assert pt.g.tobytes() == grid_loop["g"][k].tobytes()
+        assert pt.J.tobytes() == grid_loop["J"][k].tobytes()
+        assert slice_image_first_component(c).tobytes() == grid_loop["image"][k].tobytes()
+        assert sutherland_energy(c).tobytes() == grid_loop["energy"][k].tobytes()
+        assert energy_identity_residual(c).tobytes() == grid_loop["residual"][k].tobytes()
+        moment = np.array([[0.0, 1j * x_val], [1j * x_val, 0.0]])
+        assert np.array_equal(slice_moment_value(c.x), np.broadcast_to(moment, pt.g.shape))
+    # one stack over all couplings gives the same bits
+    x, q, p = (np.array(v).reshape(grid_loop["energy"].shape) for v in zip(*_grid()))
+    whole = SliceCoords(q, p, x)
+    assert slice_point(whole).J.tobytes() == grid_loop["J"].tobytes()
+    assert energy_identity_residual(whole).tobytes() == grid_loop["residual"].tobytes()
+
+
+def test_scalar_slice_coordinates_keep_the_per_point_types_and_bits():
+    for x, q, p in _grid()[::97]:
+        c = SliceCoords(q, p, x)
+        pt, ref = slice_point(c), _reference_slice_point(q, p, x)
+        assert pt.g.shape == (2, 2) and pt.g.tobytes() == ref.g.tobytes()
+        assert pt.J.tobytes() == ref.J.tobytes()
+        assert slice_image_first_component(c).tobytes() == _reference_image(q, p, x).tobytes()
+        for got, want in (
+            (sutherland_energy(c), _reference_energy(q, p, x)),
+            (energy_identity_residual(c), _reference_residual(q, p, x)),
+        ):
+            assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def test_su2_energy_per_point_arrays_equal_the_grid_loop_bit_for_bit(grid_loop):
+    """The three arrays ``_check_su2_energy`` takes its maxima over."""
+    for k, x_val in enumerate(X_GRID):
+        c = su2.slice_grid(x_val)
+        pt = slice_point(c)
+        residual = energy_identity_residual(c)
+        moment = norm(moment_map(pt) - slice_moment_value(c.x))
+        mismatch = norm(constants_map(pt).X - slice_image_first_component(c))
+        assert residual.tobytes() == grid_loop["residual"][k].tobytes()
+        assert moment.tobytes() == grid_loop["moment"][k].tobytes()
+        assert mismatch.tobytes() == grid_loop["mismatch"][k].tobytes()
+    report = harness.run_check("su2-energy", harness.ExperimentConfig(n=2))
+    assert report.observed == {
+        "max_energy_identity_residual": float(np.max(grid_loop["residual"])),
+        "max_moment_mismatch": float(np.max(grid_loop["moment"])),
+        "max_image_mismatch": float(np.max(grid_loop["mismatch"])),
+    }
+
+
+def test_audit_grid_minimum_equals_the_per_point_minimum(grid_loop):
+    for k, x_val in enumerate(X_GRID):
+        want = min(sutherland_energy(SliceCoords(q, p, x_val)) for q in Q_GRID for p in P_GRID)
+        got = exceptional_point_audit(x_val).grid_min_energy
+        assert repr(got) == repr(want) == repr(np.min(grid_loop["energy"][k]))
+
+
+@pytest.mark.parametrize("x_val", [0.5, 0.77, 1.0, 1.3, 2.0])
+def test_time_scale_from_one_stacked_flow_equals_two_flows_bit_for_bit(x_val):
+    h = 1e-6
+    x0 = slice_point(SliceCoords(np.pi / 3.0, 1.0, x_val))
+    qp = regauge_to_slice(free_flow(x0, casimir(2), h)).q
+    qm = regauge_to_slice(free_flow(x0, casimir(2), -h)).q
+    assert repr(calibrate_time_scale(x_val)) == repr(float((qp - qm) / (2.0 * h)))
