@@ -66,10 +66,7 @@ from .free_motion import (
 )
 from .reduction import (
     StratumFlags,
-    TangentVector,
     classify,
-    gauge_directions,
-    hamiltonian_directions,
     invariant_span_double,
     leaf_codim,
     reduced_constants_span,

@@ -83,7 +83,7 @@ def _merge_config(args) -> ExperimentConfig:
     file_values = _load_config_file(args.config) if args.config else {}
     merged = {}
     for key in _FLAG_KEYS:
-        flag = getattr(args, key if key != "out" else "out")
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
         elif key in file_values:

@@ -23,11 +23,11 @@ from . import words as w
 from .groups import (
     H_FD,
     TAU_RANK,
-    GroupContext,
     ShapeError,
     group_exp,
     inner,
     lie_bracket,
+    norm,
     numerical_rank,
     project_algebra,
 )
@@ -128,12 +128,10 @@ def double_norm(z1: DoublePoint, z2: DoublePoint) -> float:
 
 def flow_conservation_defect(x: PhasePoint, H: InvariantHamiltonian, t_grid) -> float:
     """Max drift of the constants map along the exact flow over ``t_grid``,
-    flowed in one stacked call."""
+    flowed in one stacked call; the flow keeps ``J``, so only the first
+    component can drift."""
     z0 = constants_map(x)
-    worst = 0.0
-    for X in constants_map(free_flow(x, H, t_grid)).X:
-        worst = max(worst, double_norm(DoublePoint(X, x.J), z0))
-    return worst
+    return max((0.0, *norm(constants_map(free_flow(x, H, t_grid)).X - z0.X)))
 
 
 def equivariance_defect(x: PhasePoint, eta) -> float:
@@ -189,12 +187,6 @@ def poisson_map_defect(f: w.Observable, h: w.Observable, x: PhasePoint) -> float
     return abs(lhs - rhs)
 
 
-def chart_directions(ctx: GroupContext):
-    """The ``2 dim_g`` right-trivialized chart directions ``(a, b)``, the
-    slices of :func:`chart_basis` pair by pair."""
-    return list(zip(*chart_basis(ctx)))
-
-
 def _flatten_double(z: DoublePoint):
     lead = z.X.shape[:-2]
     parts = (z.X.real, z.X.imag, z.Y.real, z.Y.imag)
@@ -205,7 +197,7 @@ def constants_map_jacobian(x: PhasePoint, h: float):
     """Jacobian of the constants map by central differences, all columns from
     one stacked stencil.
 
-    Columns follow :func:`chart_directions`; rows flatten both components of
+    Columns follow :func:`chart_basis`; rows flatten both components of
     the double into real coordinates.
     """
     flat = lambda y: _flatten_double(constants_map(y))

@@ -2,7 +2,9 @@
 
 Everything here works upstairs on the phase space: quotient statements are
 tested modulo the gauge distribution spanned by the conjugation action, so
-no chart on the orbit space is ever constructed. The certificates are
+no chart on the orbit space is ever constructed. Every certificate matrix
+stacks rows ``[coords(a) | coords(b)]``, one per tangent vector ``(a g, b)``
+or differential, built by :func:`chart_rows`. The certificates are
 
 * ``classify``           stratum membership flags for a phase point,
 * ``reduced_hamiltonian_span``   dimension of the projected span of the
@@ -50,17 +52,8 @@ from .groups import (
     joint_centralizer_dim,
     lie_bracket,
     numerical_rank,
-    orthonormal_basis,
 )
 from .phase import PhasePoint, bracket_from_gradients, environment, moment_map, poisson_bracket
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Right-trivialized tangent vector ``(a g, b)`` stored as ``(a, b)``."""
-
-    a: np.ndarray
-    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,20 +93,28 @@ def classify(x: PhasePoint) -> StratumFlags:
     return StratumFlags(regular_momentum, principal, image_principal, regular_moment)
 
 
-def gauge_directions(x: PhasePoint):
-    """Conjugation-generated tangent vectors, one per basis element ``Y``.
+def chart_rows(ctx: GroupContext, a, b):
+    """Chart coordinates ``[coords(a) | coords(b)]`` of the right-trivialized
+    tangent vectors ``(a g, b)``, one row per slice of the stacks ``a`` and
+    ``b`` of shape ``(K, n, n)``; the result has shape ``(K, 2 dim_g)``.
 
-    The curve ``act(e^{tY}, x)`` has right-trivialized velocity
-    ``(Y - Ad_g Y, [Y, J])``.
+    One :func:`basis_coordinates` call over both stacks, equal bit for bit to
+    the coordinates of each matrix alone.
     """
-    return [
-        TangentVector(Y - adjoint(x.g, Y), lie_bracket(Y, x.J))
-        for Y in orthonormal_basis(x.context)
-    ]
+    return basis_coordinates(ctx, np.stack([a, b], axis=1)).reshape(len(a), 2 * ctx.dim_g)
 
 
-def hamiltonian_directions(x: PhasePoint):
-    """Velocities ``(X_i, 0)`` of the commuting flows, ``X_i`` spanning ker ad_J.
+def gauge_matrix(x: PhasePoint):
+    """Chart rows of the conjugation-generated directions, one per basis
+    element ``Y``: the curve ``act(e^{tY}, x)`` has right-trivialized
+    velocity ``(Y - Ad_g Y, [Y, J])``."""
+    B = basis_stack(x.context)
+    return chart_rows(x.context, B - x.g @ B @ x.g.conj().T, B @ x.J - x.J @ B)
+
+
+def hamiltonian_matrix(x: PhasePoint):
+    """Chart rows of the commuting flows' velocities ``(X_i, 0)``, ``X_i``
+    spanning ker ad_J.
 
     Requires a regular momentum so that the kernel has dimension ``rank``.
     """
@@ -123,25 +124,7 @@ def hamiltonian_directions(x: PhasePoint):
         raise StructureError(
             f"momentum is not regular: centralizer dimension {len(kernel)} != {ctx.rank}"
         )
-    zero = np.zeros((ctx.n, ctx.n), dtype=complex)
-    return [TangentVector(X, zero) for X in kernel]
-
-
-def tangent_coordinates(ctx, v: TangentVector):
-    """Coordinates of a tangent vector on the orthonormal chart frame."""
-    return np.concatenate([basis_coordinates(ctx, v.a), basis_coordinates(ctx, v.b)])
-
-
-def gauge_matrix(x: PhasePoint):
-    """Chart coordinates of :func:`gauge_directions`, one row per basis element."""
-    ctx = x.context
-    B = basis_stack(ctx)
-    return np.hstack(
-        [
-            basis_coordinates(ctx, B - x.g @ B @ x.g.conj().T),
-            basis_coordinates(ctx, B @ x.J - x.J @ B),
-        ]
-    )
+    return chart_rows(ctx, kernel, np.zeros_like(kernel))
 
 
 def quotient_rank(V, W) -> int:
@@ -159,9 +142,7 @@ def reduced_hamiltonian_span(x: PhasePoint) -> int:
     discrete stabilizer; drops exactly where the image acquires continuous
     symmetry.
     """
-    ctx = x.context
-    V = np.vstack([tangent_coordinates(ctx, v) for v in hamiltonian_directions(x)])
-    return quotient_rank(V, gauge_matrix(x))
+    return quotient_rank(hamiltonian_matrix(x), gauge_matrix(x))
 
 
 def _dedup_key(letters):
@@ -197,28 +178,17 @@ def word_generators(max_len: int):
     )
 
 
-def pullback_differential_row(x: PhasePoint, gen):
-    """Chart coordinates of ``d(P o constants_map)`` for one invariant word,
-    or one row per word for a sequence of them, from one gradient kernel call.
+def pullback_differential_row(x: PhasePoint, gens):
+    """Chart rows of ``d(P o constants_map)``, one per invariant word ``P`` of
+    the sequence ``gens``, from one gradient kernel call.
 
     Chain rule through the analytic differential of the constants map: the
     group column block is ``[Ad_g grad_X P, J]`` and the fiber block is
     ``Ad_g grad_X P + grad_Y P`` in basis coordinates.
     """
-    ctx = x.context
-    single = isinstance(gen, w.Observable)
-    gens = (gen,) if single else gen
     gX, gY = w._gradient_stacks(gens, double_environment(constants_map(x)), ("X", "Y"))
     pushed = adjoint(x.g, gX)
-    blocks = np.stack([lie_bracket(pushed, x.J), pushed + gY], axis=1)
-    # coordinates one word at a time keep the temporaries at one word's size
-    rows = np.array([basis_coordinates(ctx, b).ravel() for b in blocks])
-    return rows[0] if single else rows
-
-
-def constants_differential_matrix(x: PhasePoint, gens):
-    """Stacked differentials of the pulled-back invariant words at ``x``."""
-    return pullback_differential_row(x, gens)
+    return chart_rows(x.context, lie_bracket(pushed, x.J), pushed + gY)
 
 
 def reduced_constants_span(x: PhasePoint, gens) -> int:
@@ -228,7 +198,7 @@ def reduced_constants_span(x: PhasePoint, gens) -> int:
     upstairs rank equals the span of the reduced differentials; it plateaus
     at ``dim_g - rank`` once the generating set is rich enough.
     """
-    rank, _ = numerical_rank(constants_differential_matrix(x, gens), TAU_RANK)
+    rank, _ = numerical_rank(pullback_differential_row(x, gens), TAU_RANK)
     return rank
 
 
@@ -238,7 +208,7 @@ def span_plateau(x: PhasePoint, max_len: int):
     ``word_generators(max_len)``, so each rank is taken on leading rows."""
     gens = word_generators(max_len)
     lengths = [len(gen.words[0].letters) for gen in gens]
-    D = constants_differential_matrix(x, gens)
+    D = pullback_differential_row(x, gens)
     return [
         numerical_rank(D[: bisect_right(lengths, m)], TAU_RANK)[0]
         for m in range(1, max_len + 1)
@@ -267,14 +237,15 @@ def max_centrality_defect(x: PhasePoint, gens) -> float:
     return worst
 
 
-def moment_casimir_row(x: PhasePoint, k: int):
-    """Chart coordinates of ``d(C_k o moment_map)`` at ``x``."""
+def moment_casimir_matrix(x: PhasePoint):
+    """Chart rows of ``d(C_k o moment_map)`` at ``x``, one per ``k = 2..n``."""
     ctx = x.context
     mu = moment_map(x)
-    grad = casimir_gradient(k, mu)
-    pushed = adjoint(x.g, grad)
-    coords = basis_coordinates(ctx, np.array([lie_bracket(pushed, x.J), grad - pushed]))
-    return np.concatenate([-coords[0], coords[1]])
+    grads = np.array([casimir_gradient(k, mu) for k in range(2, ctx.n + 1)])
+    pushed = adjoint(x.g, grads)
+    rows = chart_rows(ctx, lie_bracket(pushed, x.J), grads - pushed)
+    rows[:, : ctx.dim_g] *= -1.0  # the group block is [J, Ad_g grad]
+    return rows
 
 
 def leaf_codim(x: PhasePoint) -> int:
@@ -285,15 +256,13 @@ def leaf_codim(x: PhasePoint) -> int:
     gauge-orthogonal and the quotient subtraction is a consistency guard
     rather than a correction.
     """
-    D = np.vstack([moment_casimir_row(x, k) for k in range(2, x.context.n + 1)])
-    return quotient_rank(D, gauge_matrix(x))
+    return quotient_rank(moment_casimir_matrix(x), gauge_matrix(x))
 
 
 def double_differential_matrix(z: DoublePoint, gens):
     """Stacked differentials of invariant words at a point of the double."""
-    ctx = GroupContext(z.n)
     gX, gY = w._gradient_stacks(gens, double_environment(z), ("X", "Y"))
-    return np.array([basis_coordinates(ctx, np.array(pair)).ravel() for pair in zip(gX, gY)])
+    return chart_rows(GroupContext(z.n), gX, gY)
 
 
 def invariant_span_double(z: DoublePoint, gens) -> int:
@@ -309,18 +278,9 @@ def double_orbit_dim(z: DoublePoint) -> int:
 
 
 def hamiltonian_span_inside_constants(x: PhasePoint, gens) -> bool:
-    """Whether each ``d(C_k(J))`` lies in the span of the pulled-back
+    """Whether every ``d(C_k(J))`` lies in the span of the pulled-back
     constants' differentials, certifying the containment of the Hamiltonian
     ring in the ring of constants of motion."""
-    ctx = x.context
-    D = constants_differential_matrix(x, gens)
-    base, _ = numerical_rank(D, TAU_RANK)
-    for k in range(2, ctx.n + 1):
-        grad = casimir_gradient(k, x.J)
-        row = np.concatenate(
-            [np.zeros(ctx.dim_g), basis_coordinates(ctx, grad)]
-        )
-        joint, _ = numerical_rank(np.vstack([D, row]), TAU_RANK)
-        if joint != base:
-            return False
-    return True
+    grads = np.array([casimir_gradient(k, x.J) for k in range(2, x.n + 1)])
+    rows = chart_rows(x.context, np.zeros_like(grads), grads)
+    return quotient_rank(rows, pullback_differential_row(x, gens)) == 0

@@ -7,6 +7,7 @@ from redint.apposition import build_frame, random_partner_algebra, random_torus_
 from redint.free_motion import (
     DoublePoint,
     casimir_double,
+    casimir_gradient,
     casimir_value,
     constants_map,
     pullback,
@@ -18,8 +19,10 @@ from redint.groups import (
     StructureError,
     adjoint,
     basis_coordinates,
+    centralizer_basis,
     lie_bracket,
     joint_centralizer_dim,
+    orthonormal_basis,
     random_algebra,
     random_group,
 )
@@ -27,6 +30,7 @@ from redint.phase import (
     PhasePoint,
     act,
     bracket_from_gradients,
+    chart_basis,
     fd_directional,
     gradients,
     moment_map,
@@ -34,24 +38,22 @@ from redint.phase import (
 )
 from redint.reduction import (
     centrality_defect,
+    chart_rows,
     classify,
-    constants_differential_matrix,
     double_differential_matrix,
     double_orbit_dim,
-    gauge_directions,
     gauge_matrix,
-    hamiltonian_directions,
+    hamiltonian_matrix,
     hamiltonian_span_inside_constants,
     invariant_span_double,
     leaf_codim,
     max_centrality_defect,
-    moment_casimir_row,
+    moment_casimir_matrix,
     pullback_differential_row,
     quotient_rank,
     reduced_constants_span,
     reduced_hamiltonian_span,
     span_plateau,
-    tangent_coordinates,
     word_generators,
 )
 from redint.su2 import EXCEPTIONAL_Q, SliceCoords, slice_point
@@ -98,22 +100,21 @@ def test_classify_is_gauge_invariant():
 
 def test_gauge_directions_edge_cases():
     x = PhasePoint(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-    assert all(
-        np.linalg.norm(v.a) < 1e-14 and np.linalg.norm(v.b) < 1e-14
-        for v in gauge_directions(x)
-    )
+    assert gauge_matrix(x).shape == (CTX2.dim_g, 2 * CTX2.dim_g)
+    assert np.abs(gauge_matrix(x)).max() < 1e-14
     rng = np.random.default_rng(41)
     central = np.exp(2j * np.pi / 3) * np.eye(3)
     y = PhasePoint(central, random_algebra(CTX3, rng))
-    assert all(np.linalg.norm(v.a) < 1e-12 for v in gauge_directions(y))
+    W = gauge_matrix(y)
+    assert np.abs(W[:, : CTX3.dim_g]).max() < 1e-12
+    assert np.linalg.matrix_rank(W[:, CTX3.dim_g :], tol=1e-8) == CTX3.dim_g - CTX3.rank
 
 
 def test_gauge_directions_have_full_rank_on_principal_points():
     rng = np.random.default_rng(43)
     for ctx in (CTX2, CTX3):
         x = random_phase_point(ctx, rng)
-        W = np.vstack([tangent_coordinates(ctx, v) for v in gauge_directions(x)])
-        assert np.linalg.matrix_rank(W, tol=1e-8) == ctx.dim_g
+        assert np.linalg.matrix_rank(gauge_matrix(x), tol=1e-8) == ctx.dim_g
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -122,35 +123,31 @@ def test_gauge_matrix_equals_gauge_direction_coordinates_bit_for_bit(n):
     rng = np.random.default_rng(45)
     for _ in range(3):
         x = random_phase_point(ctx, rng)
-        W = np.array([tangent_coordinates(ctx, v) for v in gauge_directions(x)])
-        assert np.array_equal(gauge_matrix(x), W)
+        W = np.array([_tangent_coordinates(ctx, *v) for v in _reference_gauge_directions(x)])
+        assert gauge_matrix(x).tobytes() == W.tobytes()
 
 
 def test_hamiltonian_directions():
     diag = PhasePoint(np.eye(2, dtype=complex), np.diag([1j, -1j]))
-    dirs = hamiltonian_directions(diag)
-    assert len(dirs) == 1
-    assert np.linalg.norm(dirs[0].a - np.diag(np.diag(dirs[0].a))) < 1e-12
-    assert np.linalg.norm(dirs[0].b) == 0.0
+    V = hamiltonian_matrix(diag)
+    assert V.shape == (1, 2 * CTX2.dim_g)
+    # the off-diagonal basis elements lead the basis: the direction is Cartan
+    assert np.abs(V[0, : CTX2.dim_g - CTX2.rank]).max() < 1e-12
+    assert np.abs(V[0, CTX2.dim_g - CTX2.rank : CTX2.dim_g]).max() > 0.5
+    assert not np.any(V[0, CTX2.dim_g :])
     with pytest.raises(StructureError):
-        hamiltonian_directions(PhasePoint(np.eye(2, dtype=complex), np.zeros((2, 2))))
+        hamiltonian_matrix(PhasePoint(np.eye(2, dtype=complex), np.zeros((2, 2))))
 
 
 def test_hamiltonian_directions_are_ad_covariant_as_subspaces():
     rng = np.random.default_rng(47)
     x = random_phase_point(CTX3, rng)
     eta = random_group(CTX3, rng)
-    moved = [tangent_coordinates(CTX3, v) for v in hamiltonian_directions(act(eta, x))]
-    conj = []
-    for v in hamiltonian_directions(x):
-        conj.append(
-            tangent_coordinates(
-                CTX3,
-                type(v)(adjoint(eta, v.a), adjoint(eta, v.b)),
-            )
-        )
-    Q1, _ = np.linalg.qr(np.array(moved).T)
-    Q2, _ = np.linalg.qr(np.array(conj).T)
+    moved = hamiltonian_matrix(act(eta, x))
+    kernel = adjoint(eta, np.array(centralizer_basis(x.J)))
+    conj = chart_rows(CTX3, kernel, np.zeros_like(kernel))
+    Q1, _ = np.linalg.qr(moved.T)
+    Q2, _ = np.linalg.qr(conj.T)
     overlap = np.linalg.svd(Q1.T @ Q2, compute_uv=False)
     assert overlap.min() > 1.0 - 1e-8
 
@@ -219,14 +216,12 @@ def test_span_plateau_equals_the_per_length_spans(ctx, max_len):
 
 def test_pullback_differential_row_matches_finite_differences():
     rng = np.random.default_rng(61)
-    from redint.free_motion import chart_directions, constants_map
     from redint.free_motion import evaluate_double
 
     x = random_phase_point(CTX2, rng)
-    gens = word_generators(3)
-    for gen in gens[:6]:
-        row = pullback_differential_row(x, gen)
-        for col, (a, b) in enumerate(chart_directions(CTX2)):
+    gens = word_generators(3)[:6]
+    for gen, row in zip(gens, pullback_differential_row(x, gens)):
+        for col, (a, b) in enumerate(zip(*chart_basis(CTX2))):
             fd = fd_directional(
                 lambda y: evaluate_double(gen, constants_map(y)), x, a, b, H_FD
             )
@@ -267,7 +262,29 @@ def test_max_centrality_defect_equals_the_per_pair_defects_bit_for_bit(n):
         )
 
 
-# References: the per-generator formulas, one gradient call per word and slot.
+# References: the per-vector, per-k and per-generator formulas, one
+# coordinate call per matrix and one gradient call per word and slot.
+
+
+def _tangent_coordinates(ctx, a, b):
+    return np.concatenate([basis_coordinates(ctx, a), basis_coordinates(ctx, b)])
+
+
+def _reference_gauge_directions(x):
+    """``(Y - Ad_g Y, [Y, J])``, the velocity of ``act(e^{tY}, x)``, per basis element."""
+    return [(Y - adjoint(x.g, Y), lie_bracket(Y, x.J)) for Y in orthonormal_basis(x.context)]
+
+
+def _reference_hamiltonian_rows(x):
+    zero = np.zeros((x.n, x.n), dtype=complex)
+    return np.array([_tangent_coordinates(x.context, X, zero) for X in centralizer_basis(x.J)])
+
+
+def _reference_moment_casimir_row(x, k):
+    grad = casimir_gradient(k, moment_map(x))
+    pushed = adjoint(x.g, grad)
+    coords = basis_coordinates(x.context, np.array([lie_bracket(pushed, x.J), grad - pushed]))
+    return np.concatenate([-coords[0], coords[1]])
 
 
 def _reference_pullback_row(x, gen):
@@ -310,11 +327,44 @@ def test_differential_matrices_equal_the_per_generator_formulas_bit_for_bit(n):
         gens = _mixed_generators(ctx, rng)
         x = random_phase_point(ctx, rng)
         want = np.array([_reference_pullback_row(x, gen) for gen in gens])
-        assert constants_differential_matrix(x, gens).tobytes() == want.tobytes()
-        assert pullback_differential_row(x, gens[7]).tobytes() == want[7].tobytes()
+        assert pullback_differential_row(x, gens).tobytes() == want.tobytes()
+        assert pullback_differential_row(x, gens[7:8]).tobytes() == want[7:8].tobytes()
         z = DoublePoint(random_algebra(ctx, rng), random_algebra(ctx, rng))
         want = _reference_double_differential_matrix(z, gens)
         assert double_differential_matrix(z, gens).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_chart_rows_equal_the_per_vector_coordinates_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(130 + n)
+    a = np.array([random_algebra(ctx, rng) for _ in range(7)])
+    b = np.array([random_algebra(ctx, rng) for _ in range(7)])
+    want = np.array([_tangent_coordinates(ctx, ai, bi) for ai, bi in zip(a, b)])
+    assert chart_rows(ctx, a, b).shape == (7, 2 * ctx.dim_g)
+    assert chart_rows(ctx, a, b).tobytes() == want.tobytes()
+    assert chart_rows(ctx, a[:1], b[:1]).tobytes() == want[:1].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_hamiltonian_matrix_equals_the_per_vector_rows_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(140 + n)
+    for _ in range(3):
+        x = random_phase_point(ctx, rng)
+        want = _reference_hamiltonian_rows(x)
+        assert want.shape == (ctx.rank, 2 * ctx.dim_g)
+        assert hamiltonian_matrix(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_moment_casimir_matrix_equals_the_per_k_rows_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(150 + n)
+    for _ in range(3):
+        x = random_phase_point(ctx, rng)
+        want = np.array([_reference_moment_casimir_row(x, k) for k in range(2, n + 1)])
+        assert moment_casimir_matrix(x).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -347,12 +397,9 @@ def test_leaf_codim_vanishes_at_zero_moment():
 
 def test_moment_casimir_row_matches_finite_differences():
     rng = np.random.default_rng(83)
-    from redint.free_motion import chart_directions
-
     x = random_phase_point(CTX3, rng)
-    for k in (2, 3):
-        row = moment_casimir_row(x, k)
-        for col, (a, b) in enumerate(chart_directions(CTX3)):
+    for k, row in zip((2, 3), moment_casimir_matrix(x)):
+        for col, (a, b) in enumerate(zip(*chart_basis(CTX3))):
             fd = fd_directional(
                 lambda y: casimir_value(k, moment_map(y)), x, a, b, H_FD
             )
@@ -379,8 +426,6 @@ def test_invariant_span_double_at_diagonal_pair():
     gens = word_generators(4)
     assert double_orbit_dim(z) == 2
     assert invariant_span_double(z, gens) == 2
-    from redint.reduction import double_differential_matrix
-
     s = np.linalg.svd(double_differential_matrix(z, gens), compute_uv=False)
     assert s[1] / s[0] > 1e-3 and s[2] / s[0] < 1e-12
 
@@ -407,24 +452,15 @@ def test_momentum_casimir_span_and_linear_pullback_span(ctx):
     rng = np.random.default_rng(103)
     x = random_phase_point(ctx, rng)
 
-    from redint.free_motion import casimir_gradient
-
-    rows = []
-    for k in range(2, ctx.n + 1):
-        rows.append(
-            np.concatenate(
-                [np.zeros(ctx.dim_g), basis_coordinates(ctx, casimir_gradient(k, x.J))]
-            )
-        )
-    assert np.linalg.matrix_rank(np.vstack(rows), tol=1e-10) == ctx.rank
-
-    from redint.groups import orthonormal_basis
+    grads = np.array([casimir_gradient(k, x.J) for k in range(2, ctx.n + 1)])
+    rows = chart_rows(ctx, np.zeros_like(grads), grads)
+    assert np.linalg.matrix_rank(rows, tol=1e-10) == ctx.rank
 
     functionals = []
     for e in orthonormal_basis(ctx):
         functionals.append(observable(word((e, "X"), coeff=-1.0)))
         functionals.append(observable(word((e, "Y"), coeff=-1.0)))
-    D = constants_differential_matrix(x, functionals)
+    D = pullback_differential_row(x, functionals)
     assert np.linalg.matrix_rank(D, tol=1e-10) == ctx.dim_phase - ctx.rank
 
 
@@ -449,6 +485,6 @@ def test_quotient_rank_against_plain_rank_for_invariant_rows():
     rng = np.random.default_rng(107)
     x = random_phase_point(CTX2, rng)
     gens = word_generators(3)
-    D = constants_differential_matrix(x, gens)
+    D = pullback_differential_row(x, gens)
     plain = np.linalg.matrix_rank(D, tol=1e-8)
     assert reduced_constants_span(x, gens) == plain
