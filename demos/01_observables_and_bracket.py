@@ -7,7 +7,7 @@ exact gradients against finite differences, and samples the bracket axioms.
 import numpy as np
 
 from redint import GroupContext, random_phase_point
-from redint.phase import evaluate, fd_gradients, fiber_gradient, left_gradient, poisson_bracket
+from redint.phase import evaluate, fd_gradients, gradients, poisson_bracket
 from redint.words import observable, word
 
 ctx = GroupContext(3)
@@ -22,8 +22,9 @@ print("holonomy = Re tr(G) + 0.25 Im tr(G J)     :", evaluate(holonomy, x))
 print("\n== exact gradients vs finite differences ==")
 for name, F in (("kinetic", kinetic), ("holonomy", holonomy)):
     fd_left, fd_fiber = fd_gradients(F, x, 1e-5)
-    dl = np.linalg.norm(left_gradient(F, x) - fd_left)
-    df = np.linalg.norm(fiber_gradient(F, x) - fd_fiber)
+    left, fiber = gradients(F, x)
+    dl = np.linalg.norm(left - fd_left)
+    df = np.linalg.norm(fiber - fd_fiber)
     print(f"{name:9s} left-gradient defect {dl:.2e}, fiber-gradient defect {df:.2e}")
 
 print("\n== bracket values ==")

@@ -43,8 +43,7 @@ from .phase import (
     PhasePoint,
     act,
     evaluate,
-    fiber_gradient,
-    left_gradient,
+    gradients,
     moment_map,
     moment_observable,
     moment_generates_defect,

@@ -97,11 +97,8 @@ def build_frame(n: int) -> AppositionFrame:
 
 def frame_orthogonality_residual(frame: AppositionFrame) -> float:
     """Largest pairing between the two torus algebras; zero in exact arithmetic."""
-    worst = 0.0
-    for u in frame.torus_basis:
-        for v in frame.partner_basis:
-            worst = max(worst, abs(inner(u, v)))
-    return worst
+    pairs = inner(np.array(frame.torus_basis)[:, None], np.array(frame.partner_basis))
+    return float(max((0.0, *abs(pairs).ravel())))
 
 
 def stacked_torus_rank(frame: AppositionFrame) -> int:

@@ -71,21 +71,23 @@ def _require_square(mat, stack=False):
     return mat
 
 
-def _require_same_size(X, Y, stack=False):
-    X = _require_square(X, stack)
-    Y = _require_square(Y, stack)
+def _require_same_size(X, Y):
+    X = _require_square(X, stack=True)
+    Y = _require_square(Y, stack=True)
     if X.shape[-1] != Y.shape[-1]:
         raise ShapeError(f"size mismatch: {X.shape} vs {Y.shape}")
     return X, Y
 
 
-def inner(X, Y) -> float:
+def inner(X, Y):
     """Invariant inner product ``-Re tr(XY)``.
 
-    Symmetric, bilinear, Ad-invariant, and positive definite on su(n).
+    Symmetric, bilinear, Ad-invariant, and positive definite on su(n). A
+    float, or the array of slice products of broadcasting stacks ``(..., n, n)``.
     """
     X, Y = _require_same_size(X, Y)
-    return float(-np.trace(X @ Y).real)
+    out = -np.trace(X @ Y, axis1=-2, axis2=-1).real
+    return float(out) if out.ndim == 0 else out
 
 
 def norm(X):
@@ -104,7 +106,7 @@ def norm(X):
 
 def lie_bracket(X, Y):
     """Matrix commutator ``XY - YX``, slice by slice on stacks ``(..., n, n)``."""
-    X, Y = _require_same_size(X, Y, stack=True)
+    X, Y = _require_same_size(X, Y)
     return X @ Y - Y @ X
 
 
@@ -168,7 +170,7 @@ def group_exp(X):
 def adjoint(eta, X):
     """Conjugation action ``eta X eta^{-1}`` of a unitary on the algebra,
     slice by slice on stacks ``(..., n, n)``."""
-    eta, X = _require_same_size(eta, X, stack=True)
+    eta, X = _require_same_size(eta, X)
     return eta @ X @ eta.conj().swapaxes(-1, -2)
 
 

@@ -10,6 +10,7 @@ deterministic for a fixed ``(name, config)`` up to ``wall_time_ms``.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -27,11 +28,10 @@ from .groups import (
     TAU_FD,
     TAU_STRUCT,
     GroupContext,
-    inner,
+    basis_coordinates,
     is_regular,
     joint_centralizer_dim,
     norm,
-    orthonormal_basis,
     random_algebra,
 )
 from .phase import (
@@ -66,6 +66,10 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for key in ("n", "seed", "samples", "max_word_len"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if self.samples < 1:
@@ -74,8 +78,8 @@ class ExperimentConfig:
             raise ConfigError("max_word_len must be at least 2")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if not self.t_max > 0:
-            raise ConfigError("t_max must be positive")
+        if not 0 < self.t_max < np.inf:
+            raise ConfigError("t_max must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -160,12 +164,8 @@ def _check_bracket_axioms(cfg: ExperimentConfig):
         left, fiber = product_gradients(F, G, x)
         prod = lambda y: evaluate(F, y) * evaluate(G, y)
         fd = fd_directional(prod, x, *chart_basis(ctx), H_FD)
-        for e, fd_l, fd_f in zip(orthonormal_basis(ctx), fd[: ctx.dim_g], fd[ctx.dim_g :]):
-            worst_product_fd = max(
-                worst_product_fd,
-                abs(fd_l - inner(e, left)),
-                abs(fd_f - inner(e, fiber)),
-            )
+        coords = basis_coordinates(ctx, np.stack([left, fiber])).ravel()
+        worst_product_fd = max((worst_product_fd, *abs(fd - coords)))
 
         total = 0.0
         for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):

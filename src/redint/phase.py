@@ -64,30 +64,20 @@ def evaluate(F: w.Observable, x: PhasePoint):
     return w.evaluate(F, environment(x))
 
 
-def left_gradient(F: w.Observable, x: PhasePoint):
-    """su(n) representative of ``d/dt F(e^{tA} g, J)`` at ``t = 0``."""
-    return w.left_group_gradient(F, environment(x))
-
-
-def fiber_gradient(F: w.Observable, x: PhasePoint):
-    """su(n) representative of ``d/dt F(g, J + tA)`` at ``t = 0``."""
-    return w.letter_gradient(F, environment(x), "J")
-
-
 def gradients(F: w.Observable, x: PhasePoint):
-    """``(left_gradient, fiber_gradient)`` of ``F`` at ``x``."""
+    """``(grad_left F, grad_fiber F)`` at ``x``, each of the shape of ``x.J``."""
     env = environment(x)
     return w.left_group_gradient(F, env), w.letter_gradient(F, env, "J")
 
 
-def bracket_from_gradients(J, gradF, gradH) -> float:
-    """The bracket formula at fiber value ``J`` from two gradient pairs."""
+def bracket_from_gradients(J, gradF, gradH):
+    """The bracket formula at fiber value ``J`` from two (stacked) gradient pairs."""
     (gF, dF), (gH, dH) = gradF, gradH
     return inner(gF, dH) - inner(gH, dF) + inner(J, lie_bracket(dF, dH))
 
 
-def poisson_bracket(F: w.Observable, H: w.Observable, x: PhasePoint) -> float:
-    """Canonical bracket of two trace-word observables at ``x``."""
+def poisson_bracket(F: w.Observable, H: w.Observable, x: PhasePoint):
+    """Canonical bracket of two trace-word observables at ``x`` or a stack of points."""
     return bracket_from_gradients(x.J, gradients(F, x), gradients(H, x))
 
 
@@ -145,11 +135,11 @@ def fd_gradients(F: w.Observable, x: PhasePoint, h: float):
 def fd_bracket_with(F_value, H: w.Observable, x: PhasePoint, h: float) -> float:
     """Bracket ``{P, H}`` of a black-box function ``P`` with an observable.
 
-    ``P`` only needs point evaluations, one point per call; the derivative is
-    taken along the exact Hamiltonian direction of ``H`` by a fourth-order
-    central stencil, whose four points come from one :func:`shift`, which
-    keeps the truncation error below the roundoff floor. Used for nested
-    brackets and product observables, which leave the trace-word family.
+    ``F_value`` evaluates ``P`` on a stack of points and is called once, on the
+    four points of a fourth-order central stencil along the exact Hamiltonian
+    direction of ``H``; they come from one :func:`shift`, and the stencil keeps
+    the truncation error below the roundoff floor. Used for nested brackets and
+    product observables, which leave the trace-word family.
     """
     a, b = hamiltonian_velocity(H, x)
     speed = float(np.sqrt(inner(a, a) + inner(b, b)))
@@ -158,9 +148,8 @@ def fd_bracket_with(F_value, H: w.Observable, x: PhasePoint, h: float) -> float:
     # keep the chart step bounded in arc length; balances the fourth-order
     # truncation against the roundoff floor for fast directions
     s = max(h, 6e-4) / max(speed, 1.0)
-    y = shift(x, a, b, [s, -s, 2.0 * s, -2.0 * s])
-    f = [F_value(PhasePoint(g, J)) for g, J in zip(y.g, y.J)]
-    return (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * s)
+    f = F_value(shift(x, a, b, [s, -s, 2.0 * s, -2.0 * s]))
+    return float((8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * s))
 
 
 def product_gradients(F: w.Observable, G: w.Observable, x: PhasePoint):

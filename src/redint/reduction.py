@@ -223,18 +223,15 @@ def centrality_defect(x: PhasePoint, k: int, gen: w.Observable) -> float:
 
 
 def max_centrality_defect(x: PhasePoint, gens) -> float:
-    """Largest :func:`centrality_defect` over ``k = 2..n`` and ``gens``, in
-    the same arithmetic, with each gradient pair taken once."""
+    """Largest :func:`centrality_defect` over ``k = 2..n`` and ``gens``, in the
+    same arithmetic: one kernel call and one broadcast bracket over the pairs."""
     casimirs = [casimir_double(k, "Y") for k in range(2, x.n + 1)]
     left, fiber = w._gradient_stacks(
         [pullback(f) for f in (*gens, *casimirs)], environment(x), (w._LEFT_GROUP_RULES, "J")
     )
-    grads = list(zip(left, fiber))
-    worst = 0.0
-    for ck in grads[len(gens) :]:
-        for gh in grads[: len(gens)]:
-            worst = max(worst, abs(bracket_from_gradients(x.J, ck, gh)))
-    return worst
+    m = len(gens)
+    d = bracket_from_gradients(x.J, (left[m:, None], fiber[m:, None]), (left[:m], fiber[:m]))
+    return float(max((0.0, *abs(d).ravel())))
 
 
 def moment_casimir_matrix(x: PhasePoint):

@@ -12,6 +12,8 @@ functions the rank certificates need. Every gradient returned here is the
 unique su(n) element representing the corresponding directional derivative
 with respect to the inner product ``<X, Y> = -Re tr(XY)``.
 
+Symbols may be bound to stacks ``(..., n, n)``; values and gradients then
+carry the leading shape, each point equal bit for bit to its one-point call.
 Both gradients come from one kernel over a sequence of observables: each
 occurrence of a varied symbol contributes a signed cyclic chain of the word's
 letters, and a per-symbol rule table says where that chain starts and how
@@ -71,38 +73,39 @@ def word(letters, part="re", coeff=1.0) -> TraceWord:
     return TraceWord(tuple(letters), part, float(coeff))
 
 
-def _resolve(letter, env):
-    if isinstance(letter, str):
-        try:
-            return env[letter]
-        except KeyError:
-            raise KeyError(f"environment does not bind letter {letter!r}") from None
-    return letter
+def _env_shape(env):
+    """``(lead, n)`` of an environment whose letters are stacks ``(..., n, n)``
+    of one ``n``; ``lead`` is the broadcast of their leading shapes."""
+    shapes = [np.shape(m) for m in env.values()]
+    n = shapes[0][-1] if shapes and shapes[0] else None
+    if n is None or any(s[-2:] != (n, n) for s in shapes):
+        raise ShapeError(f"environment letters have shapes {shapes}, not (..., n, n) of one n")
+    return np.broadcast_shapes(*(s[:-2] for s in shapes)), n
 
 
-def _word_matrices(w: TraceWord, env, stack=False):
-    mats = [np.asarray(_resolve(letter, env)) for letter in w.letters]
-    n = mats[0].shape[-1]
-    for m in mats:
-        if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-2:] != (n, n):
-            want = "(..., n, n)" if stack else "(n, n)"
-            raise ShapeError(f"letters evaluate to {[m.shape for m in mats]}, not {want} of one n")
+def _word_matrices(w: TraceWord, env, n):
+    try:
+        mats = [np.asarray(env[lt] if isinstance(lt, str) else lt) for lt in w.letters]
+    except KeyError as exc:
+        raise KeyError(f"environment does not bind letter {exc.args[0]!r}") from None
+    if any(m.ndim < 2 or m.shape[-2:] != (n, n) for m in mats):
+        raise ShapeError(f"letters evaluate to {[m.shape for m in mats]}, not (..., {n}, {n})")
     return mats
 
 
 def evaluate(obs: Observable, env):
     """Value of the observable: a finite real number, or an array over the
     stacks ``(..., n, n)`` the environment binds, each entry its one-point value."""
-    lead = np.broadcast_shapes(*(np.shape(m)[:-2] for m in env.values()))
+    lead, n = _env_shape(env)
     total = np.zeros(lead)
     for w in obs.words:
-        t = np.trace(reduce(np.matmul, _word_matrices(w, env, stack=True)), axis1=-2, axis2=-1)
+        t = np.trace(reduce(np.matmul, _word_matrices(w, env, n)), axis1=-2, axis2=-1)
         total += w.coeff * (t.real if w.part == "re" else t.imag)
     return float(total) if total.ndim == 0 else total
 
 
 def _gradient_stacks(observables, env, tables):
-    """Gradients of all ``observables`` at one environment, one ``(K, n, n)``
+    """Gradients of all ``observables`` at ``env``, one ``(K,) + lead + (n, n)``
     stack per table: a symbol (its additive shift) or a rule table mapping a
     symbol to ``(offset, extra, sign)``. An occurrence at position ``i`` of a
     word of ``m`` letters contributes ``sign`` times the cyclic chain of
@@ -111,13 +114,13 @@ def _gradient_stacks(observables, env, tables):
     last letter. Each term's ``S`` or ``1j * S`` goes through one stacked
     :func:`project_algebra`, and each gradient folds its terms from zero.
     """
-    n = np.asarray(next(iter(env.values()))).shape[-1]
+    lead, n = _env_shape(env)
     tables = [{t: (1, -1, 1)} if isinstance(t, str) else t for t in tables]
     memo = {}
     sums, folds = [], []
     for k, obs in enumerate(observables):
         for w in obs.words:
-            mats = _word_matrices(w, env)
+            mats = _word_matrices(w, env, n)
             keys = [lt if isinstance(lt, str) else id(lt) for lt in w.letters]
             m = len(mats)
             for t, rules in enumerate(tables):
@@ -135,13 +138,14 @@ def _gradient_stacks(observables, env, tables):
                             node = level[keys[j]] = (mats[j] if C is None else C @ mats[j], {})
                         C, level = node
                     C = np.eye(n, dtype=complex) if C is None else C
-                    S = np.zeros((n, n), dtype=complex) if S is None else S
+                    S = np.zeros(lead + (n, n), dtype=complex) if S is None else S
                     S = S + C if sign > 0 else S - C
                 if S is not None:
                     sums.append(S if w.part == "re" else 1j * S)
                     folds.append((t, k, w))
-    grads = np.zeros((len(tables), len(observables), n, n), dtype=complex)
-    for (t, k, w), P in zip(folds, project_algebra(np.array(sums).reshape(-1, n, n))):
+    grads = np.zeros((len(tables), len(observables)) + lead + (n, n), dtype=complex)
+    projected = project_algebra(np.array(sums).reshape((len(sums),) + lead + (n, n)))
+    for (t, k, w), P in zip(folds, projected):
         if w.part == "re":
             grads[t, k] -= w.coeff * P
         else:

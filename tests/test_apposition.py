@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from redint.apposition import (
+    AppositionFrame,
     MomentSolveError,
     build_frame,
     cyclic_shift,
@@ -14,11 +15,13 @@ from redint.apposition import (
     stacked_torus_rank,
 )
 from redint.groups import (
+    GroupContext,
     StructureError,
     check_group,
     inner,
     joint_centralizer_dim,
     norm,
+    random_algebra,
 )
 from redint.su2 import SliceCoords, slice_moment_value, slice_point
 
@@ -61,6 +64,37 @@ def test_frame_invariants(n):
         assert np.linalg.norm(frame.shift @ u - u @ frame.shift) < 1e-10
         for j, v in enumerate(frame.partner_basis):
             assert inner(u, v) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+
+
+def _reference_frame_orthogonality_residual(frame):
+    """The double loop over both bases that ran before ``inner`` took stacks."""
+    worst = 0.0
+    for u in frame.torus_basis:
+        for v in frame.partner_basis:
+            worst = max(worst, abs(inner(u, v)))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_frame_orthogonality_residual_equals_the_pairwise_loop_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(40 + n)
+    frame = build_frame(n)
+    # and frames whose bases differ in length and are far from orthogonal
+    skew = [
+        AppositionFrame(
+            n,
+            frame.shift,
+            tuple(random_algebra(ctx, rng) for _ in range(3)),
+            tuple(random_algebra(ctx, rng) for _ in range(4)),
+        )
+        for _ in range(4)
+    ]
+    for f in (frame, *skew):
+        got = frame_orthogonality_residual(f)
+        assert type(got) is float
+        assert got.hex() == _reference_frame_orthogonality_residual(f).hex()
+    assert min(frame_orthogonality_residual(f) for f in skew) > 0.01
 
 
 def test_partner_torus_n2_is_the_offdiagonal_line():

@@ -341,8 +341,26 @@ def test_stacked_adjoint_and_bracket_equal_the_one_matrix_calls_bit_for_bit(n):
         assert Bk.tobytes() == (P @ J - J @ P).tobytes()
     with pytest.raises(ShapeError):
         adjoint(g, np.zeros((3, n + 1, n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_inner_equals_the_one_matrix_calls_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(530 + n)
+    X = np.array([random_algebra(ctx, rng) for _ in range(6)])
+    # general complex matrices, so that the imaginary parts of the trace do not cancel
+    Y = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    assert type(inner(X[0], Y[0])) is float
+    pairs = inner(X[:5], Y)
+    assert pairs.shape == (5,)
+    assert pairs.tobytes() == np.array([inner(a, b) for a, b in zip(X, Y)]).tobytes()
+    table = inner(X[:, None], Y)
+    assert table.shape == (6, 5)
+    want = np.array([[inner(a, b) for b in Y] for a in X])
+    assert table.tobytes() == want.tobytes()
+    assert inner(X[0], Y).tobytes() == want[0].tobytes()
     with pytest.raises(ShapeError):
-        inner(X, X)
+        inner(X, np.zeros((6, n + 1, n + 1)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

@@ -35,6 +35,19 @@ def test_config_validation():
         ExperimentConfig(seed=2**64)
     with pytest.raises(ConfigError):
         ExperimentConfig(t_max=0.0)
+    # non-integral counts and seeds (a bool is not an integer here), and non-finite times
+    for bad in (
+        {"n": 2.5},
+        {"n": 3.0},
+        {"n": True},
+        {"seed": 1.5},
+        {"samples": 2.5},
+        {"max_word_len": "4"},
+        {"t_max": float("inf")},
+        {"t_max": float("nan")},
+    ):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
 
 
 def test_unknown_check_raises_usage_error():
@@ -159,13 +172,22 @@ def test_cli_usage_errors():
     assert run_cli(["dpsi-rank", "--bogus-flag", "1"]).returncode == 3
 
 
-def test_cli_config_errors():
+def test_cli_config_errors(tmp_path, monkeypatch, capsys):
     assert run_cli(["dpsi-rank", "--n", "1"]).returncode == 2
     proc = run_cli(
         ["dpsi-rank", "--seed", "5", "--samples", "3"], env_extra={"REDINT_SEED": "9"}
     )
     assert proc.returncode == 2
     assert "seed" in proc.stderr
+    proc = run_cli(["dpsi-rank", "--t-max", "inf"])
+    assert proc.returncode == 2
+    assert "t_max" in proc.stderr
+    monkeypatch.delenv("REDINT_SEED", raising=False)
+    cfg = tmp_path / "bad.json"
+    for bad in ({"n": 2.5}, {"seed": 1.5}, {"samples": 2.5}, {"max_word_len": True}, {"t_max": float("nan")}):
+        cfg.write_text(json.dumps(bad))
+        assert cli_main(["dpsi-rank", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_cli_env_seed_alone_is_used():

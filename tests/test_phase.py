@@ -26,10 +26,8 @@ from redint.phase import (
     fd_bracket_with,
     fd_directional,
     fd_gradients,
-    fiber_gradient,
     gradients,
     hamiltonian_velocity,
-    left_gradient,
     moment_generates_defect,
     moment_map,
     moment_observable,
@@ -39,7 +37,14 @@ from redint.phase import (
     shift,
 )
 from redint.free_motion import constants_map, slot_gradients
-from redint.words import Observable, letter_gradient, observable, random_observable, word
+from redint.words import (
+    Observable,
+    left_group_gradient,
+    letter_gradient,
+    observable,
+    random_observable,
+    word,
+)
 
 CTX2 = GroupContext(2)
 CTX3 = GroupContext(3)
@@ -76,9 +81,9 @@ def test_eval_is_conjugation_invariant():
 def test_left_gradient_examples():
     x = PhasePoint(np.eye(2, dtype=complex), np.diag([1j, -1j]))
     only_j = observable(word(("J", "J")))
-    assert np.allclose(left_gradient(only_j, x), 0.0)
+    assert np.allclose(gradients(only_j, x)[0], 0.0)
     trace_g = observable(word(("G",)))
-    assert np.linalg.norm(left_gradient(trace_g, x)) < 1e-14
+    assert np.linalg.norm(gradients(trace_g, x)[0]) < 1e-14
     assert np.linalg.norm(fd_gradients(trace_g, x, H_FD)[0]) < 1e-9
 
 
@@ -86,11 +91,11 @@ def test_fiber_gradient_examples():
     rng = np.random.default_rng(2)
     x = random_phase_point(CTX2, rng)
     A = random_algebra(CTX2, rng)
-    assert np.allclose(fiber_gradient(pairing_observable(A), x), A)
+    assert np.allclose(gradients(pairing_observable(A), x)[1], A)
     only_g = observable(word(("G", "Ginv"), coeff=3.0))
-    assert np.allclose(fiber_gradient(only_g, x), 0.0)
+    assert np.allclose(gradients(only_g, x)[1], 0.0)
     kinetic = observable(word(("J", "J"), coeff=-1.0))
-    assert np.allclose(fiber_gradient(kinetic, x), 2.0 * x.J)
+    assert np.allclose(gradients(kinetic, x)[1], 2.0 * x.J)
 
 
 @pytest.mark.parametrize("ctx", [CTX2, CTX3])
@@ -100,8 +105,9 @@ def test_gradients_match_finite_differences(ctx):
         x = random_phase_point(ctx, rng)
         F = random_observable(rng, ("G", "Ginv", "J"), max_len=4)
         fd_left, fd_fiber = fd_gradients(F, x, H_FD)
-        assert np.linalg.norm(left_gradient(F, x) - fd_left) < TAU_FD
-        assert np.linalg.norm(fiber_gradient(F, x) - fd_fiber) < TAU_FD
+        left, fiber = gradients(F, x)
+        assert np.linalg.norm(left - fd_left) < TAU_FD
+        assert np.linalg.norm(fiber - fd_fiber) < TAU_FD
 
 
 def test_bracket_of_momentum_pairings():
@@ -132,7 +138,9 @@ def test_bracket_from_gradients_is_the_bracket_bit_for_bit(ctx):
         H = random_observable(rng, ("G", "Ginv", "J"), max_len=4)
         gF, dF = gradients(F, x)
         gH, dH = gradients(H, x)
-        assert np.array_equal(gF, left_gradient(F, x)) and np.array_equal(dF, fiber_gradient(F, x))
+        env = environment(x)
+        assert np.array_equal(gF, left_group_gradient(F, env))
+        assert np.array_equal(dF, letter_gradient(F, env, "J"))
         got = bracket_from_gradients(x.J, (gF, dF), (gH, dH))
         assert got == poisson_bracket(F, H, x)
         assert got == inner(gF, dH) - inner(gH, dF) + inner(x.J, lie_bracket(dF, dH))
@@ -152,7 +160,7 @@ def test_bracket_against_flow_derivative_oracle():
         - evaluate(F, PhasePoint(group_exp(-2 * h * x.J) @ x.g, x.J))
     ) / (2 * h)
     assert got == pytest.approx(fd, abs=1e-8)
-    assert got == pytest.approx(inner(left_gradient(F, x), 2 * x.J), abs=1e-12)
+    assert got == pytest.approx(inner(gradients(F, x)[0], 2 * x.J), abs=1e-12)
 
 
 def test_hamiltonian_velocity_reproduces_bracket():
@@ -161,7 +169,8 @@ def test_hamiltonian_velocity_reproduces_bracket():
     F = random_observable(rng, ("G", "Ginv", "J"), max_len=3)
     H = random_observable(rng, ("G", "Ginv", "J"), max_len=3)
     a, b = hamiltonian_velocity(H, x)
-    chain = inner(a, left_gradient(F, x)) + inner(b, fiber_gradient(F, x))
+    left, fiber = gradients(F, x)
+    chain = inner(a, left) + inner(b, fiber)
     assert chain == pytest.approx(poisson_bracket(F, H, x), abs=1e-12)
 
 
@@ -176,9 +185,9 @@ def test_leibniz_property():
             rhs = fv * poisson_bracket(G, H, x) + gv * poisson_bracket(F, H, x)
             assert abs(lhs - rhs) <= 1e-9
             # the product rule fed through the bracket formula, written out
-            left = fv * left_gradient(G, x) + gv * left_gradient(F, x)
-            fiber = fv * fiber_gradient(G, x) + gv * fiber_gradient(F, x)
-            gH, dH = left_gradient(H, x), fiber_gradient(H, x)
+            (gF, dF), (gG, dG) = gradients(F, x), gradients(G, x)
+            left, fiber = fv * gG + gv * gF, fv * dG + gv * dF
+            gH, dH = gradients(H, x)
             assert lhs == inner(left, dH) - inner(gH, fiber) + inner(x.J, lie_bracket(fiber, dH))
 
 
@@ -350,7 +359,10 @@ def test_fd_bracket_with_equals_the_four_shift_stencil_bit_for_bit(ctx):
             lambda y: poisson_bracket(G, H, y),
             lambda y: evaluate(F, y) * evaluate(G, y),
         ):
-            got = fd_bracket_with(F_value, H, x, H_FD)
+            calls = []
+            got = fd_bracket_with(lambda y: calls.append(y.g.shape) or F_value(y), H, x, H_FD)
+            # no call when H generates no motion at x
+            assert calls in ([], [(4, ctx.n, ctx.n)])
             assert got == _reference_fd_bracket_with(F_value, H, x, H_FD)
     still = PhasePoint(random_group(ctx, rng), np.zeros((ctx.n, ctx.n), dtype=complex))
     assert fd_bracket_with(lambda y: evaluate(F, y), Observable(()), still, H_FD) == 0.0
@@ -367,14 +379,43 @@ def test_stacked_moment_map_equals_the_one_point_calls_bit_for_bit(n):
         assert np.array_equal(mu, J - g.conj().T @ J @ g)
 
 
-def test_the_gradient_kernel_rejects_a_stacked_environment():
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_gradients_and_bracket_equal_the_one_point_calls_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(120 + n)
+    stack = _stacked_points(ctx, rng, 6)
+    A = random_algebra(ctx, rng)
+    observables = [
+        random_observable(rng, ("G", "Ginv", "J"), max_len=4) for _ in range(4)
+    ] + [pairing_observable(A), observable(word(("Ginv", "J", "G", A), "im", 0.5))]
+    grads = [gradients(F, stack) for F in observables]
+    for F, (left, fiber) in zip(observables, grads):
+        assert left.shape == fiber.shape == (6, n, n)
+        for i, (g, J) in enumerate(zip(stack.g, stack.J)):
+            one = gradients(F, PhasePoint(g, J))
+            assert left[i].tobytes() == one[0].tobytes()
+            assert fiber[i].tobytes() == one[1].tobytes()
+    for F, H in zip(observables, observables[::-1]):
+        got = poisson_bracket(F, H, stack)
+        assert got.shape == (6,)
+        for i, (g, J) in enumerate(zip(stack.g, stack.J)):
+            assert got[i] == poisson_bracket(F, H, PhasePoint(g, J))
+    # a (2, 3) grid of points, and a broadcast bracket over (observable, point)
+    grid = PhasePoint(stack.g.reshape(2, 3, n, n), stack.J.reshape(2, 3, n, n))
+    assert poisson_bracket(observables[0], observables[1], grid).tobytes() == (
+        poisson_bracket(observables[0], observables[1], stack).reshape(2, 3).tobytes()
+    )
+    left, fiber = (np.array(part) for part in zip(*grads))
+    table = bracket_from_gradients(stack.J, (left[:, None], fiber[:, None]), (left, fiber))
+    assert table.shape == (6, 6, 6)
+    for a, b in np.ndindex(6, 6):
+        assert table[a, b].tobytes() == bracket_from_gradients(stack.J, grads[a], grads[b]).tobytes()
+
+
+def test_the_gradient_kernel_rejects_letters_of_different_sizes():
     rng = np.random.default_rng(98)
     stack = _stacked_points(CTX3, rng, 2)
     F = observable(word(("Ginv", "J", "G", "J")))
-    with pytest.raises(ShapeError):
-        letter_gradient(F, environment(stack), "J")
-    with pytest.raises(ShapeError):
-        gradients(F, stack)
     # one point whose letters differ in n, and a stack of them
     mixed = {"G": stack.g[0], "Ginv": stack.g[0], "J": np.zeros((2, 2), dtype=complex)}
     for env in (mixed, {k: np.stack([v, v]) for k, v in mixed.items()}):

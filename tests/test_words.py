@@ -266,6 +266,62 @@ def test_stacked_evaluate_equals_the_one_point_calls_bit_for_bit(n):
             assert values[idx] == evaluate(obs, one) == _reference_evaluate(obs, one)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_kernel_equals_the_one_point_calls_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(60 + n)
+    lead = (2, 3)
+    tables = ("G", "Ginv", "J", "X", "Y", _LEFT_GROUP_RULES)
+    g = np.array([random_group(ctx, rng) for _ in range(6)]).reshape(lead + (n, n))
+    # X is one matrix and Y a stack of three, both broadcast against lead
+    env = {
+        "G": g,
+        "Ginv": g.conj().swapaxes(-1, -2),
+        "J": np.array([random_algebra(ctx, rng) for _ in range(6)]).reshape(lead + (n, n)),
+        "X": random_algebra(ctx, rng),
+        "Y": np.array([random_algebra(ctx, rng) for _ in range(3)]),
+    }
+    A, B = random_algebra(ctx, rng), np.diag(rng.standard_normal(n))
+    alphabet = ("G", "Ginv", "J", "X", "Y", A, B)
+    observables = [
+        Observable(()),
+        observable(word((A, "X", "Ginv", "G", "Y"))),
+        observable(word((B, "X", "Ginv", "G", "Y")), word((A, "J"), "im", 0.5)),
+        observable(word(("X",))),
+    ]
+    for _ in range(10):
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            picks = rng.integers(0, len(alphabet), size=int(rng.integers(1, 9)))
+            part = ("re", "im")[int(rng.integers(0, 2))]
+            terms.append(word([alphabet[k] for k in picks], part, float(rng.standard_normal())))
+        observables.append(observable(*terms))
+    stacks = _gradient_stacks(observables, env, tables)
+    assert stacks.shape == (len(tables), len(observables)) + lead + (n, n)
+    for idx in np.ndindex(lead):
+        one = {k: np.broadcast_to(v, lead + (n, n))[idx] for k, v in env.items()}
+        want = _gradient_stacks(observables, one, tables)
+        assert stacks[(slice(None), slice(None)) + idx].tobytes() == want.tobytes()
+    obs = observables[-1]
+    assert letter_gradient(obs, env, "J").tobytes() == stacks[2, -1].tobytes()
+    assert left_group_gradient(obs, env).tobytes() == stacks[5, -1].tobytes()
+
+
+def test_an_environment_of_letters_of_different_sizes_is_rejected_in_either_order():
+    X, Y = np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex)
+    obs = observable(word(("Y", "Y")))
+    for env in ({"X": X, "Y": Y}, {"Y": Y, "X": X}):
+        with pytest.raises(ShapeError):
+            evaluate(obs, env)
+        with pytest.raises(ShapeError):
+            letter_gradient(obs, env, "Y")
+    for bad in (np.zeros((3, 2)), np.zeros(3), np.float64(1.0)):
+        with pytest.raises(ShapeError):
+            evaluate(observable(word(("X",))), {"X": bad})
+        with pytest.raises(ShapeError):
+            letter_gradient(observable(word(("X",))), {"X": bad}, "X")
+
+
 def test_letters_of_different_sizes_are_rejected_in_a_stack():
     env = {"X": np.zeros((4, 3, 3), dtype=complex), "Y": np.zeros((4, 2, 2), dtype=complex)}
     with pytest.raises(ShapeError):
