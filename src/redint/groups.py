@@ -215,28 +215,46 @@ def basis_stack(ctx: GroupContext):
     return stack
 
 
+@lru_cache(maxsize=None)
+def _basis_gather(n: int):
+    """``(idx, coef)``, each ``(dim_g, n)``: row ``i`` of basis element ``a``
+    has its one nonzero ``coef[a, i] = e_a[i, j]`` at ``j``, and ``idx[a, i]``
+    is the flat index ``j*n + i`` of ``X[j, i]`` (``coef`` is 0 on a zero row)."""
+    E = np.array(_basis_tuple(n))
+    cols = np.argmax(E != 0, axis=-1)
+    idx, coef = cols * n + np.arange(n), np.take_along_axis(E, cols[..., None], axis=-1)[..., 0]
+    idx.flags.writeable = coef.flags.writeable = False
+    return idx, coef
+
+
 def basis_coordinates(ctx: GroupContext, X):
     """Coordinates on :func:`orthonormal_basis` of ``X``, shape ``(n, n)`` or
     a stack ``(..., n, n)``; the result has shape ``(..., dim_g)``.
 
     Equals ``[inner(e, X) for e in basis]`` bit for bit: a basis row has one
-    nonzero, so each diagonal entry of ``e @ X`` is one rounded product, and
-    the trace sums them in the order ``inner`` does.
+    nonzero, so each diagonal entry of ``e @ X`` is one rounded product, read
+    off ``X`` here and summed in the order the trace of ``inner`` sums it.
     """
     X = np.asarray(X)
     if X.ndim < 2 or X.shape[-2:] != (ctx.n, ctx.n):
         raise ShapeError(f"expected (..., {ctx.n}, {ctx.n}) matrices, got shape {X.shape}")
-    products = basis_stack(ctx) @ X[..., None, :, :]
-    return -np.trace(products, axis1=-2, axis2=-1).real
+    idx, coef = _basis_gather(ctx.n)
+    # C order: a gather over a stack is not, and the sum would add in another order
+    products = np.multiply(coef, X.reshape(X.shape[:-2] + (ctx.n**2,))[..., idx], order="C")
+    return -products.sum(axis=-1).real
 
 
 def from_coordinates(ctx: GroupContext, coef):
-    """Inverse of :func:`basis_coordinates`."""
-    basis = orthonormal_basis(ctx)
-    out = np.zeros((ctx.n, ctx.n), dtype=complex)
-    for c, e in zip(coef, basis):
-        out = out + c * e
-    return out
+    """Inverse of :func:`basis_coordinates`, ``(..., dim_g)`` to ``(..., n, n)``:
+    the running sum from zero, in basis order, of ``coef[a] * e_a``, equal bit
+    for bit to a loop over the basis."""
+    coef = np.asarray(coef)
+    if coef.ndim < 1 or coef.shape[-1] != ctx.dim_g:
+        raise ShapeError(f"expected (..., {ctx.dim_g}) coefficients, got shape {coef.shape}")
+    terms = coef[..., None, None] * basis_stack(ctx)
+    # the zero row keeps the sign of a zero sum, as 0 + (-0) is +0
+    zero = np.zeros_like(terms[..., :1, :, :])
+    return np.cumsum(np.concatenate([zero, terms], axis=-3), axis=-3)[..., -1, :, :]
 
 
 def random_algebra(ctx: GroupContext, seed):
@@ -273,7 +291,7 @@ def kernel_basis(ctx: GroupContext, M):
     ``M`` acting on :func:`basis_coordinates`: the right singular vectors
     with singular value at most ``TAU_RANK * sigma_max``."""
     _, s, vh = np.linalg.svd(M)
-    return [from_coordinates(ctx, row) for row in vh[s <= TAU_RANK * s[0]]]
+    return list(from_coordinates(ctx, vh[s <= TAU_RANK * s[0]]))
 
 
 def centralizer_basis(J):

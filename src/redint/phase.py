@@ -129,7 +129,7 @@ def fd_gradients(F: w.Observable, x: PhasePoint, h: float):
     """Finite-difference oracle for :func:`gradients`, in the same order."""
     ctx = x.context
     d = directional_derivative(F, x, *chart_basis(ctx), h)
-    return from_coordinates(ctx, d[: ctx.dim_g]), from_coordinates(ctx, d[ctx.dim_g :])
+    return tuple(from_coordinates(ctx, d.reshape(2, ctx.dim_g)))
 
 
 def fd_bracket_with(F_value, H: w.Observable, x: PhasePoint, h: float) -> float:

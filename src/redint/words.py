@@ -80,6 +80,8 @@ def _env_shape(env):
     n = shapes[0][-1] if shapes and shapes[0] else None
     if n is None or any(s[-2:] != (n, n) for s in shapes):
         raise ShapeError(f"environment letters have shapes {shapes}, not (..., n, n) of one n")
+    if all(s == shapes[0] for s in shapes):
+        return shapes[0][:-2], n
     return np.broadcast_shapes(*(s[:-2] for s in shapes)), n
 
 

@@ -13,6 +13,7 @@ from redint.groups import (
     centralizer_basis,
     check_algebra,
     check_group,
+    from_coordinates,
     group_exp,
     inner,
     is_regular,
@@ -285,6 +286,60 @@ def test_basis_coordinates_equal_the_inner_loop_bit_for_bit(n):
     assert np.array_equal(basis_coordinates(ctx, stack.transpose(0, 2, 1)), transposed)
     assert np.array_equal(basis_coordinates(ctx, stack[None, ::2]), oracle[None, ::2])
     assert not basis_stack(ctx).flags.writeable
+
+
+def _reference_basis_coordinates(ctx, X):
+    # the whole basis product, then its trace
+    return -np.trace(basis_stack(ctx) @ X[..., None, :, :], axis1=-2, axis2=-1).real
+
+
+def _reference_from_coordinates(ctx, coef):
+    # one matrix, one basis element at a time
+    out = np.zeros((ctx.n, ctx.n), dtype=complex)
+    for c, e in zip(coef, orthonormal_basis(ctx)):
+        out = out + c * e
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_basis_coordinates_equal_the_basis_product_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(320 + n)
+    M = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+    M *= 10.0 ** rng.integers(-8, 9, (2, 3, 1, 1))
+    M[0, 0] = project_algebra(M[0, 0])
+    M[1, 2] = -0.0
+    for X in (M, M[:, ::2], M.swapaxes(0, 1), M.swapaxes(-1, -2)[::-1], M[1, 1]):
+        got = basis_coordinates(ctx, X)
+        assert got.shape == X.shape[:-2] + (ctx.dim_g,)
+        assert got.tobytes() == _reference_basis_coordinates(ctx, X).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_from_coordinates_equals_the_basis_loop_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(330 + n)
+    coef = rng.standard_normal((300, ctx.dim_g)) * 10.0 ** rng.integers(-8, 9, (300, ctx.dim_g))
+    # zero and negative-zero coefficients, alone and mixed in, and whole zero rows
+    coef[rng.random(coef.shape) < 0.2] = 0.0
+    coef[rng.random(coef.shape) < 0.2] = -0.0
+    coef[0], coef[1] = 0.0, -0.0
+    coef[2, 0] = -0.0
+    for c in coef:
+        assert from_coordinates(ctx, c).tobytes() == _reference_from_coordinates(ctx, c).tobytes()
+    stack = from_coordinates(ctx, coef[:6].reshape(2, 3, ctx.dim_g))
+    assert stack.shape == (2, 3, n, n)
+    for (i, j), c in zip(np.ndindex(2, 3), coef[:6]):
+        assert stack[i, j].tobytes() == _reference_from_coordinates(ctx, c).tobytes()
+    X = random_algebra(ctx, rng)
+    assert np.abs(from_coordinates(ctx, basis_coordinates(ctx, X)) - X).max() < 1e-14
+
+
+def test_from_coordinates_rejects_the_wrong_number_of_coefficients():
+    ctx = GroupContext(2)
+    for bad in ([1.0, 2, 3, 4, 5], [1.0], 1.0, np.zeros((3, 2))):
+        with pytest.raises(ShapeError):
+            from_coordinates(ctx, bad)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
