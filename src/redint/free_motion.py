@@ -127,11 +127,11 @@ def double_norm(z1: DoublePoint, z2: DoublePoint) -> float:
 
 
 def flow_conservation_defect(x: PhasePoint, H: InvariantHamiltonian, t_grid) -> float:
-    """Max drift of the constants map along the exact flow over ``t_grid``,
-    flowed in one stacked call; the flow keeps ``J``, so only the first
-    component can drift."""
+    """Max drift of the constants map along the exact flow over ``t_grid`` (a
+    column ``(T, 1)`` at a stack of points, the max over all), flowed in one
+    stacked call; the flow keeps ``J``, so only the first component can drift."""
     z0 = constants_map(x)
-    return max((0.0, *norm(constants_map(free_flow(x, H, t_grid)).X - z0.X)))
+    return max((0.0, *np.ravel(norm(constants_map(free_flow(x, H, t_grid)).X - z0.X))))
 
 
 def equivariance_defect(x: PhasePoint, eta) -> float:

@@ -235,13 +235,14 @@ def basis_coordinates(ctx: GroupContext, X):
     nonzero, so each diagonal entry of ``e @ X`` is one rounded product, read
     off ``X`` here and summed in the order the trace of ``inner`` sums it.
     """
-    X = np.asarray(X)
+    X = np.asarray(X, dtype=complex)
     if X.ndim < 2 or X.shape[-2:] != (ctx.n, ctx.n):
         raise ShapeError(f"expected (..., {ctx.n}, {ctx.n}) matrices, got shape {X.shape}")
     idx, coef = _basis_gather(ctx.n)
-    # C order: a gather over a stack is not, and the sum would add in another order
-    products = np.multiply(coef, X.reshape(X.shape[:-2] + (ctx.n**2,))[..., idx], order="C")
-    return -products.sum(axis=-1).real
+    # np.take is C-ordered where a fancy-index gather over a stack is not, so
+    # the sum adds in the one-matrix order; the product reuses its buffer
+    products = np.take(X.reshape(X.shape[:-2] + (ctx.n**2,)), idx, axis=-1)
+    return -np.multiply(coef, products, out=products).sum(axis=-1).real
 
 
 def from_coordinates(ctx: GroupContext, coef):
@@ -277,13 +278,12 @@ def numerical_rank(M, tau_rank: float):
     """Rank of ``M`` counted as singular values above ``tau_rank * sigma_max``.
 
     Returns ``(rank, singular_values)``; the singular values are kept so that
-    callers can attach them to reports.
+    callers can attach them to reports. Over a stack ``(..., r, c)`` both carry
+    its leading shape (an empty stack, empty ranks), each entry bit for bit.
     """
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tau_rank * s[0])), s
+    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
+    rank = np.count_nonzero(s > tau_rank * s[..., :1], axis=-1)
+    return (int(rank) if rank.ndim == 0 else rank), s
 
 
 def kernel_basis(ctx: GroupContext, M):
@@ -302,39 +302,35 @@ def centralizer_basis(J):
     return kernel_basis(ctx, basis_coordinates(ctx, J @ B - B @ J).T)
 
 
-def joint_centralizer_dim(algebra_items=(), group_items=()) -> int:
+def joint_centralizer_dim(algebra_items=(), group_items=()):
     """Dimension of ``{Y in su(n) : [Y, J_i] = 0 and Y g_j = g_j Y for all items}``.
 
     Algebra and group constraints are stacked into one linear map on su(n)
     whose kernel dimension is read off a rank-revealing SVD. A value of zero
     certifies, at the Lie-algebra level, that the joint stabilizer is
-    discrete.
+    discrete. Items of one stack shape ``(..., n, n)`` give an int array over
+    the stack, each entry the one-point dimension bit for bit.
     """
-    algebra_items = [_require_square(J) for J in algebra_items]
-    group_items = [_require_square(g) for g in group_items]
+    algebra_items = [_require_square(J, stack=True)[..., None, :, :] for J in algebra_items]
+    group_items = [_require_square(g, stack=True)[..., None, :, :] for g in group_items]
     items = algebra_items + group_items
     if not items:
         raise ValueError("at least one constraint matrix is required")
-    n = items[0].shape[0]
-    for m in items:
-        if m.shape != (n, n):
-            raise ShapeError("all constraint matrices must share one size")
-    ctx = GroupContext(n)
+    if any(m.shape != items[0].shape for m in items):
+        raise ShapeError("all constraint matrices must share one stack shape")
+    ctx = GroupContext(items[0].shape[-1])
     B = basis_stack(ctx)
-    blocks = [basis_coordinates(ctx, B @ J - J @ B).T for J in algebra_items]
+    blocks = [basis_coordinates(ctx, B @ J - J @ B).swapaxes(-1, -2) for J in algebra_items]
     for g in group_items:
-        D = (B @ g - g @ B).reshape(ctx.dim_g, n * n)
-        blocks.append(np.concatenate([D.real, D.imag], axis=1).T)
-    stacked = np.vstack(blocks)
-    rank, _ = numerical_rank(stacked, TAU_RANK)
+        D = (B @ g - g @ B).reshape(g.shape[:-3] + (ctx.dim_g, ctx.n**2))
+        blocks.append(np.concatenate([D.real, D.imag], axis=-1).swapaxes(-1, -2))
+    rank, _ = numerical_rank(np.concatenate(blocks, axis=-2), TAU_RANK)
     return ctx.dim_g - rank
 
 
-def is_regular(J) -> bool:
-    """Whether all eigenvalue gaps of the Hermitian matrix ``iJ`` exceed ``TAU_EIG``."""
-    J = _require_square(J)
-    w = np.linalg.eigvalsh(1j * J)
-    gaps = np.diff(np.sort(w))
-    if gaps.size == 0:
-        return True
-    return bool(np.min(gaps) > TAU_EIG)
+def is_regular(J):
+    """Whether all eigenvalue gaps of the Hermitian matrix ``iJ`` exceed
+    ``TAU_EIG``; a bool array over a stack ``(..., n, n)``."""
+    w = np.linalg.eigvalsh(1j * _require_square(J, stack=True))
+    regular = np.all(np.diff(np.sort(w), axis=-1) > TAU_EIG, axis=-1)
+    return bool(regular) if regular.ndim == 0 else regular

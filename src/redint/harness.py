@@ -13,6 +13,7 @@ import json
 import numbers
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -113,12 +114,29 @@ def sample_rng(seed: int, index: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+# Samples per stacked pass: spreads each call's overhead, bounds a pass's memory.
+SAMPLE_BLOCK = 8
+
+
 def _sample_points(cfg: ExperimentConfig, ctx: GroupContext, count: int):
     """``(rng, x)`` for samples ``0..count-1``: the phase point is the first
     draw of the sample's own generator, and later draws continue from it."""
     for i in range(count):
         rng = sample_rng(cfg.seed, i)
         yield rng, random_phase_point(ctx, rng)
+
+
+def _sample_blocks(samples, point):
+    """The ``(a, b)`` matrix pairs ``samples``, in order, in blocks of at most
+    :data:`SAMPLE_BLOCK`; each block is ``point(A, B)`` of their stacks ``(S, n, n)``."""
+    samples = iter(samples)
+    while block := list(islice(samples, SAMPLE_BLOCK)):
+        yield point(*(np.array(mats) for mats in zip(*block)))
+
+
+def _phase_blocks(cfg: ExperimentConfig, ctx: GroupContext, count: int):
+    """The points of :func:`_sample_points`, stacked in blocks."""
+    return _sample_blocks(((x.g, x.J) for _, x in _sample_points(cfg, ctx, count)), PhasePoint)
 
 
 def _bound(value, cmp, provenance):
@@ -210,9 +228,9 @@ def _check_psi_poisson(cfg: ExperimentConfig):
 
 def _check_flow_conservation(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
-    t_grid = np.arange(0.0, cfg.t_max + 1e-12, 0.5)
+    t_grid = np.arange(0.0, cfg.t_max + 1e-12, 0.5)[:, None]
     worst = 0.0
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
+    for x in _phase_blocks(cfg, ctx, cfg.samples):
         for k in range(2, ctx.n + 1):
             worst = max(worst, fm.flow_conservation_defect(x, fm.casimir(k), t_grid))
     observed = {"max_drift": worst}
@@ -260,10 +278,10 @@ def _check_dpsi_rank(cfg: ExperimentConfig):
 def _check_strata_census(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     hits = {"regular_momentum": 0, "principal": 0, "image_principal": 0, "regular_moment": 0}
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
+    for x in _phase_blocks(cfg, ctx, cfg.samples):
         flags = rd.classify(x)
         for key in hits:
-            hits[key] += int(getattr(flags, key))
+            hits[key] += int(np.count_nonzero(getattr(flags, key)))
     observed = {key: hits[key] / cfg.samples for key in hits}
     expected = {
         key: _bound(1.0, "eq", "full-measure stratum; every draw should land inside")
@@ -276,17 +294,15 @@ def _check_reduced_ham_span(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     spans = []
     violations = 0
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
-        flags = rd.classify(x)
-        if not (flags.principal and flags.regular_momentum):
-            continue
-        span = rd.reduced_hamiltonian_span(x)
-        if flags.image_principal:
-            spans.append(span)
-        z = fm.constants_map(x)
-        stab = joint_centralizer_dim([z.X, z.Y], [])
-        if ctx.rank - span > stab:
-            violations += 1
+    for xs in _phase_blocks(cfg, ctx, cfg.samples):
+        flags = rd.classify(xs)
+        z = fm.constants_map(xs)
+        stabs = joint_centralizer_dim([z.X, z.Y], [])
+        for i in np.flatnonzero(flags.principal & flags.regular_momentum):
+            span = rd.reduced_hamiltonian_span(PhasePoint(xs.g[i], xs.J[i]))
+            if flags.image_principal[i]:
+                spans.append(span)
+            violations += int(ctx.rank - span > stabs[i])
     observed = {
         "min_span": min(spans, default=-1),
         "max_span": max(spans, default=-1),
@@ -307,14 +323,13 @@ def _check_reduced_const_span(cfg: ExperimentConfig):
     finals = []
     plateau_at = 0
     monotone = True
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
-        if not rd.classify(x).image_principal:
-            continue
-        sweep = rd.span_plateau(x, _word_cap(cfg))
-        finals.append(sweep[-1])
-        if any(b < a for a, b in zip(sweep, sweep[1:])):
-            monotone = False
-        plateau_at = max(plateau_at, 1 + sweep.index(sweep[-1]))
+    for xs in _phase_blocks(cfg, ctx, cfg.samples):
+        keep = rd.classify(xs).image_principal
+        for sweep in rd.span_plateau(PhasePoint(xs.g[keep], xs.J[keep]), _word_cap(cfg)):
+            finals.append(sweep[-1])
+            if any(b < a for a, b in zip(sweep, sweep[1:])):
+                monotone = False
+            plateau_at = max(plateau_at, 1 + sweep.index(sweep[-1]))
     observed = {
         "min_final_span": min(finals, default=-1),
         "max_final_span": max(finals, default=-1),
@@ -338,7 +353,7 @@ def _check_centrality(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(min(cfg.max_word_len, 4))
     worst = 0.0
-    for _, x in _sample_points(cfg, ctx, min(cfg.samples, 50)):
+    for x in _phase_blocks(cfg, ctx, min(cfg.samples, 50)):
         worst = max(worst, rd.max_centrality_defect(x, gens))
     observed = {"max_defect": worst}
     expected = {
@@ -352,11 +367,10 @@ def _check_centrality(cfg: ExperimentConfig):
 def _check_leaf_codim(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     values = []
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
-        flags = rd.classify(x)
-        if not (flags.principal and flags.regular_moment):
-            continue
-        values.append(rd.leaf_codim(x))
+    for xs in _phase_blocks(cfg, ctx, cfg.samples):
+        flags = rd.classify(xs)
+        for i in np.flatnonzero(flags.principal & flags.regular_moment):
+            values.append(rd.leaf_codim(PhasePoint(xs.g[i], xs.J[i])))
     observed = {"min_codim": min(values, default=-1), "max_codim": max(values, default=-1)}
     expected = {
         "min_codim": _bound(
@@ -373,12 +387,11 @@ def _check_invariant_span_double(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(_word_cap(cfg))
     mismatches = 0
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        z = fm.DoublePoint(random_algebra(ctx, rng), random_algebra(ctx, rng))
+    rngs = (sample_rng(cfg.seed, i) for i in range(cfg.samples))
+    pairs = ((random_algebra(ctx, rng), random_algebra(ctx, rng)) for rng in rngs)
+    for z in _sample_blocks(pairs, fm.DoublePoint):
         span = rd.invariant_span_double(z, gens)
-        if span != 2 * ctx.dim_g - rd.double_orbit_dim(z):
-            mismatches += 1
+        mismatches += int(np.count_nonzero(span != 2 * ctx.dim_g - rd.double_orbit_dim(z)))
     observed = {"generic_mismatches": mismatches}
     expected = {
         "generic_mismatches": _bound(

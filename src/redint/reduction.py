@@ -58,7 +58,8 @@ from .phase import PhasePoint, bracket_from_gradients, environment, moment_map, 
 
 @dataclass(frozen=True)
 class StratumFlags:
-    """Membership flags for the isotropy stratification of a phase point.
+    """Membership flags for the isotropy stratification of a phase point:
+    bools at one point, bool arrays over a stack of points.
 
     regular_momentum  the momentum J is a regular algebra element
     principal         the joint stabilizer of (g, J) is discrete, so the
@@ -75,7 +76,7 @@ class StratumFlags:
 
 
 def classify(x: PhasePoint) -> StratumFlags:
-    """Compute all stratum flags of ``x`` at the Lie-algebra level.
+    """Compute all stratum flags of ``x`` (or a stack) at the Lie-algebra level.
 
     ``image_principal`` implies ``principal`` by construction, matching the
     containment of the underlying strata.
@@ -83,12 +84,8 @@ def classify(x: PhasePoint) -> StratumFlags:
     regular_momentum = is_regular(x.J)
     principal = joint_centralizer_dim([x.J], [x.g]) == 0
     z = constants_map(x)
-    image_principal = (
-        principal
-        and regular_momentum
-        and is_regular(z.X)
-        and joint_centralizer_dim([z.X, z.Y], []) == 0
-    )
+    image_principal = principal & regular_momentum & is_regular(z.X)
+    image_principal &= joint_centralizer_dim([z.X, z.Y], []) == 0
     regular_moment = is_regular(moment_map(x))
     return StratumFlags(regular_momentum, principal, image_principal, regular_moment)
 
@@ -96,12 +93,14 @@ def classify(x: PhasePoint) -> StratumFlags:
 def chart_rows(ctx: GroupContext, a, b):
     """Chart coordinates ``[coords(a) | coords(b)]`` of the right-trivialized
     tangent vectors ``(a g, b)``, one row per slice of the stacks ``a`` and
-    ``b`` of shape ``(K, n, n)``; the result has shape ``(K, 2 dim_g)``.
+    ``b`` of shape ``(..., K, n, n)``; the result has shape ``(..., K, 2 dim_g)``.
 
-    One :func:`basis_coordinates` call over both stacks, equal bit for bit to
-    the coordinates of each matrix alone.
+    One :func:`basis_coordinates` call over both stacks per point, which
+    bounds the gather; equal bit for bit to the coordinates of each matrix.
     """
-    return basis_coordinates(ctx, np.stack([a, b], axis=1)).reshape(len(a), 2 * ctx.dim_g)
+    pairs = np.stack([a, b], axis=-3)
+    rows = [basis_coordinates(ctx, pairs[i]) for i in np.ndindex(pairs.shape[:-4])]
+    return np.reshape(rows, pairs.shape[:-3] + (2 * ctx.dim_g,))
 
 
 def gauge_matrix(x: PhasePoint):
@@ -130,9 +129,7 @@ def hamiltonian_matrix(x: PhasePoint):
 def quotient_rank(V, W) -> int:
     """``rank([V; W]) - rank(W)``, the dimension of the span of the rows of
     ``V`` projected along the gauge rows ``W``."""
-    joint, _ = numerical_rank(np.vstack([V, W]), TAU_RANK)
-    base, _ = numerical_rank(W, TAU_RANK)
-    return joint - base
+    return numerical_rank(np.vstack([V, W]), TAU_RANK)[0] - numerical_rank(W, TAU_RANK)[0]
 
 
 def reduced_hamiltonian_span(x: PhasePoint) -> int:
@@ -147,11 +144,8 @@ def reduced_hamiltonian_span(x: PhasePoint) -> int:
 
 def _dedup_key(letters):
     """Canonical form of a word modulo rotation and reversal."""
-    candidates = []
-    for seq in (letters, tuple(reversed(letters))):
-        for s in range(len(seq)):
-            candidates.append(seq[s:] + seq[:s])
-    return min(candidates)
+    seqs = (letters, tuple(reversed(letters)))
+    return min(seq[s:] + seq[:s] for seq in seqs for s in range(len(seq)))
 
 
 @lru_cache(maxsize=None)
@@ -164,15 +158,12 @@ def word_generators(max_len: int):
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    seen = set()
-    classes = []
-    for length in range(1, max_len + 1):
-        for code in range(2 ** length):
-            letters = tuple("X" if (code >> i) & 1 else "Y" for i in range(length))
-            key = _dedup_key(letters)
-            if key not in seen:
-                seen.add(key)
-                classes.append(key)
+    # a dict keeps the first occurrence of each class, in order
+    classes = dict.fromkeys(
+        _dedup_key(tuple("X" if (code >> i) & 1 else "Y" for i in range(length)))
+        for length in range(1, max_len + 1)
+        for code in range(2**length)
+    )
     return tuple(
         w.observable(w.word(letters, part=part)) for letters in classes for part in ("re", "im")
     )
@@ -180,15 +171,17 @@ def word_generators(max_len: int):
 
 def pullback_differential_row(x: PhasePoint, gens):
     """Chart rows of ``d(P o constants_map)``, one per invariant word ``P`` of
-    the sequence ``gens``, from one gradient kernel call.
+    the sequence ``gens``, from one gradient kernel call; at a stack of points
+    ``(..., n, n)`` the rows have shape ``(..., len(gens), 2 dim_g)``.
 
     Chain rule through the analytic differential of the constants map: the
     group column block is ``[Ad_g grad_X P, J]`` and the fiber block is
     ``Ad_g grad_X P + grad_Y P`` in basis coordinates.
     """
-    gX, gY = w._gradient_stacks(gens, double_environment(constants_map(x)), ("X", "Y"))
-    pushed = adjoint(x.g, gX)
-    return chart_rows(x.context, lie_bracket(pushed, x.J), pushed + gY)
+    grads = w._gradient_stacks(gens, double_environment(constants_map(x)), ("X", "Y"))
+    gX, gY = np.moveaxis(grads, 1, -3)
+    pushed = adjoint(x.g[..., None, :, :], gX)
+    return chart_rows(x.context, lie_bracket(pushed, x.J[..., None, :, :]), pushed + gY)
 
 
 def reduced_constants_span(x: PhasePoint, gens) -> int:
@@ -198,21 +191,20 @@ def reduced_constants_span(x: PhasePoint, gens) -> int:
     upstairs rank equals the span of the reduced differentials; it plateaus
     at ``dim_g - rank`` once the generating set is rich enough.
     """
-    rank, _ = numerical_rank(pullback_differential_row(x, gens), TAU_RANK)
-    return rank
+    return numerical_rank(pullback_differential_row(x, gens), TAU_RANK)[0]
 
 
 def span_plateau(x: PhasePoint, max_len: int):
     """Sweep ``reduced_constants_span`` over word length; returns the list of
-    ranks for lengths ``1..max_len``. The generators of each length lead
+    ranks for lengths ``1..max_len``, or at a stack of points ``(S, n, n)``
+    one such list per point. The generators of each length lead
     ``word_generators(max_len)``, so each rank is taken on leading rows."""
     gens = word_generators(max_len)
     lengths = [len(gen.words[0].letters) for gen in gens]
     D = pullback_differential_row(x, gens)
-    return [
-        numerical_rank(D[: bisect_right(lengths, m)], TAU_RANK)[0]
-        for m in range(1, max_len + 1)
-    ]
+    cuts = [bisect_right(lengths, m) for m in range(1, max_len + 1)]
+    ranks = [numerical_rank(D[..., :cut, :], TAU_RANK)[0] for cut in cuts]
+    return np.stack(ranks, axis=-1).tolist()
 
 
 def centrality_defect(x: PhasePoint, k: int, gen: w.Observable) -> float:
@@ -257,15 +249,14 @@ def leaf_codim(x: PhasePoint) -> int:
 
 
 def double_differential_matrix(z: DoublePoint, gens):
-    """Stacked differentials of invariant words at a point of the double."""
-    gX, gY = w._gradient_stacks(gens, double_environment(z), ("X", "Y"))
-    return chart_rows(GroupContext(z.n), gX, gY)
+    """Stacked differentials of invariant words at a point of the double, or a stack."""
+    grads = w._gradient_stacks(gens, double_environment(z), ("X", "Y"))
+    return chart_rows(GroupContext(z.n), *np.moveaxis(grads, 1, -3))
 
 
 def invariant_span_double(z: DoublePoint, gens) -> int:
     """Rank of the invariant-word differentials at ``z``."""
-    rank, _ = numerical_rank(double_differential_matrix(z, gens), TAU_RANK)
-    return rank
+    return numerical_rank(double_differential_matrix(z, gens), TAU_RANK)[0]
 
 
 def double_orbit_dim(z: DoublePoint) -> int:

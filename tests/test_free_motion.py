@@ -164,6 +164,19 @@ def test_flow_over_a_time_grid_equals_each_time_alone_bit_for_bit(ctx):
     assert flow_conservation_defect(x, H, []) == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_flow_conservation_defect_is_the_largest_one_point_drift(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(90 + n)
+    points = [random_phase_point(ctx, rng) for _ in range(3)]
+    xs = PhasePoint(np.array([x.g for x in points]), np.array([x.J for x in points]))
+    t_grid = np.arange(0.0, 10.0 + 1e-12, 0.5)
+    for k in range(2, n + 1):
+        drift = flow_conservation_defect(xs, casimir(k), t_grid[:, None])
+        worst = max(flow_conservation_defect(x, casimir(k), t_grid) for x in points)
+        assert drift.hex() == worst.hex()
+
+
 def test_equivariance_defect():
     rng = np.random.default_rng(8)
     for ctx in (CTX2, CTX3):

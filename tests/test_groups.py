@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from redint.groups import (
+    TAU_RANK,
     GroupContext,
     ShapeError,
     StructureError,
@@ -474,3 +475,49 @@ def test_numerical_rank_basics():
     rank, s = numerical_rank(np.diag([1.0, 1e-3, 1e-12]), 1e-8)
     assert rank == 2 and s.shape == (3,)
     assert numerical_rank(np.zeros((3, 3)), 1e-8)[0] == 0
+
+
+def _stacked_samples(n, seed):
+    """Four algebra and group elements with a zero (non-regular) momentum and
+    an identity (non-principal) group element among them."""
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(seed)
+    J = np.array([random_algebra(ctx, rng) for _ in range(4)])
+    g = np.array([random_group(ctx, rng) for _ in range(4)])
+    J[1] = 0.0
+    g[2] = np.eye(n)
+    return J, g
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_regularity_stabilizers_and_ranks_equal_the_one_point_calls(n):
+    J, g = _stacked_samples(n, 60 + n)
+    regular = is_regular(J)
+    assert regular.dtype == bool and regular.shape == (4,)
+    assert regular.tolist() == [is_regular(m) for m in J] == [True, False, True, True]
+    dims = joint_centralizer_dim([J, J[::-1]], [g])
+    assert dims.tolist() == [joint_centralizer_dim([a, b], [h]) for a, b, h in zip(J, J[::-1], g)]
+    assert joint_centralizer_dim([J], [g]).tolist() == [0, n - 1, n - 1, 0]
+    # one rank per matrix of a two-level stack, with a rank-deficient matrix in it
+    rows = np.random.default_rng(n).standard_normal((2, 3, n + 2, 2 * n))
+    rows[1, 0, -1] = rows[1, 0, 0]
+    ranks, s = numerical_rank(rows, TAU_RANK)
+    for i in np.ndindex(2, 3):
+        rank_i, s_i = numerical_rank(rows[i], TAU_RANK)
+        assert type(rank_i) is int and ranks[i] == rank_i and s[i].tobytes() == s_i.tobytes()
+    assert ranks[1, 0] == n + 1
+
+
+def test_empty_and_mismatched_stacks_fail_honestly():
+    # an empty stack has no ranks; a stack of empty matrices has rank 0 each
+    ranks, s = numerical_rank(np.zeros((0, 4, 3)), TAU_RANK)
+    assert ranks.shape == (0,) and s.shape == (0, 3)
+    ranks, s = numerical_rank(np.zeros((2, 3, 0, 4)), TAU_RANK)
+    assert ranks.tolist() == [[0, 0, 0], [0, 0, 0]] and s.shape == (2, 3, 0)
+    assert numerical_rank(np.zeros((0, 4)), TAU_RANK)[0] == 0
+    assert is_regular(np.zeros((0, 3, 3))).shape == (0,)
+    assert joint_centralizer_dim([np.zeros((0, 3, 3))], []).shape == (0,)
+    J, g = _stacked_samples(3, 5)
+    for algebra_items, group_items in (([J, J[0]], []), ([J], [g[:2]]), ([J[0]], [g])):
+        with pytest.raises(ShapeError):
+            joint_centralizer_dim(algebra_items, group_items)

@@ -1,21 +1,32 @@
 """Tests for the check registry, reports, CLI, and file formats."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from redint import free_motion as fm
+from redint import reduction as rd
 from redint.cli import main as cli_main
+from redint.groups import GroupContext, joint_centralizer_dim, random_algebra
 from redint.harness import (
     CHECKS,
+    SAMPLE_BLOCK,
     ConfigError,
     ExperimentConfig,
     UsageError,
+    _phase_blocks,
+    _sample_points,
+    _word_cap,
     emit_plot_data,
     run_all,
     run_check,
+    sample_rng,
     summarize,
 )
 
@@ -250,3 +261,164 @@ def test_cli_plot_trajectory_csv(tmp_path):
 def test_cli_in_process_entry_point():
     assert cli_main(["dpsi-rank", "--n", "2", "--seed", "7", "--samples", "3"]) == 0
     assert cli_main(["nope"]) == 3
+
+
+# --- samples stacked in blocks -------------------------------------------
+# The per-sample loops that seven checks ran before their samples were
+# stacked in blocks, kept as references: each report must stay byte-identical.
+
+
+def _reference_flow_conservation(cfg):
+    ctx = GroupContext(cfg.n)
+    t_grid = np.arange(0.0, cfg.t_max + 1e-12, 0.5)
+    worst = 0.0
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
+        for k in range(2, ctx.n + 1):
+            worst = max(worst, fm.flow_conservation_defect(x, fm.casimir(k), t_grid))
+    return {"max_drift": worst}
+
+
+def _reference_strata_census(cfg):
+    ctx = GroupContext(cfg.n)
+    hits = {"regular_momentum": 0, "principal": 0, "image_principal": 0, "regular_moment": 0}
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
+        flags = rd.classify(x)
+        for key in hits:
+            hits[key] += int(getattr(flags, key))
+    return {key: hits[key] / cfg.samples for key in hits}
+
+
+def _reference_reduced_ham_span(cfg):
+    ctx = GroupContext(cfg.n)
+    spans = []
+    violations = 0
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
+        flags = rd.classify(x)
+        if not (flags.principal and flags.regular_momentum):
+            continue
+        span = rd.reduced_hamiltonian_span(x)
+        if flags.image_principal:
+            spans.append(span)
+        z = fm.constants_map(x)
+        stab = joint_centralizer_dim([z.X, z.Y], [])
+        if ctx.rank - span > stab:
+            violations += 1
+    return {
+        "min_span": min(spans, default=-1),
+        "max_span": max(spans, default=-1),
+        "deficit_bound_violations": violations,
+    }
+
+
+def _reference_reduced_const_span(cfg):
+    ctx = GroupContext(cfg.n)
+    finals = []
+    plateau_at = 0
+    monotone = True
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
+        if not rd.classify(x).image_principal:
+            continue
+        sweep = rd.span_plateau(x, _word_cap(cfg))
+        finals.append(sweep[-1])
+        if any(b < a for a, b in zip(sweep, sweep[1:])):
+            monotone = False
+        plateau_at = max(plateau_at, 1 + sweep.index(sweep[-1]))
+    return {
+        "min_final_span": min(finals, default=-1),
+        "max_final_span": max(finals, default=-1),
+        "plateau_word_length": plateau_at,
+        "monotone_in_word_length": int(monotone),
+    }
+
+
+def _reference_centrality(cfg):
+    ctx = GroupContext(cfg.n)
+    gens = rd.word_generators(min(cfg.max_word_len, 4))
+    worst = 0.0
+    for _, x in _sample_points(cfg, ctx, min(cfg.samples, 50)):
+        worst = max(worst, rd.max_centrality_defect(x, gens))
+    return {"max_defect": worst}
+
+
+def _reference_leaf_codim(cfg):
+    ctx = GroupContext(cfg.n)
+    values = []
+    for _, x in _sample_points(cfg, ctx, cfg.samples):
+        flags = rd.classify(x)
+        if not (flags.principal and flags.regular_moment):
+            continue
+        values.append(rd.leaf_codim(x))
+    return {"min_codim": min(values, default=-1), "max_codim": max(values, default=-1)}
+
+
+def _reference_invariant_span_double(cfg):
+    ctx = GroupContext(cfg.n)
+    gens = rd.word_generators(_word_cap(cfg))
+    mismatches = 0
+    for i in range(cfg.samples):
+        rng = sample_rng(cfg.seed, i)
+        z = fm.DoublePoint(random_algebra(ctx, rng), random_algebra(ctx, rng))
+        span = rd.invariant_span_double(z, gens)
+        if span != 2 * ctx.dim_g - rd.double_orbit_dim(z):
+            mismatches += 1
+    observed = {"generic_mismatches": mismatches}
+    if cfg.n == 2:
+        X = random_algebra(ctx, sample_rng(cfg.seed, cfg.samples))
+        zd = fm.DoublePoint(X, X)
+        observed["diagonal_span"] = rd.invariant_span_double(zd, gens)
+        observed["diagonal_orbit_codim"] = 2 * ctx.dim_g - rd.double_orbit_dim(zd)
+    return observed
+
+
+REFERENCE_CHECKS = {
+    "flow-conservation": _reference_flow_conservation,
+    "strata-census": _reference_strata_census,
+    "reduced-ham-span": _reference_reduced_ham_span,
+    "reduced-const-span": _reference_reduced_const_span,
+    "centrality": _reference_centrality,
+    "leaf-codim": _reference_leaf_codim,
+    "invariant-span-double": _reference_invariant_span_double,
+}
+
+BLOCK_CONFIGS = [
+    ExperimentConfig(n=n, seed=seed, samples=samples)
+    for seed in (1, 97)
+    for n, samples in ((2, 50), (3, 50), (5, 20))
+] + [ExperimentConfig(n=3, seed=7, samples=2 * SAMPLE_BLOCK + 3)]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CHECKS))
+@pytest.mark.parametrize("cfg", BLOCK_CONFIGS, ids=lambda c: f"n{c.n}-seed{c.seed}-samples{c.samples}")
+def test_block_stacked_checks_equal_the_per_sample_loops_byte_for_byte(name, cfg, monkeypatch):
+    report = dataclasses.replace(run_check(name, cfg), wall_time_ms=0)
+    # the reference loop's observations with the check's own bounds
+    monkeypatch.setitem(CHECKS, name, lambda c: (REFERENCE_CHECKS[name](c), report.expected))
+    reference = dataclasses.replace(run_check(name, cfg), wall_time_ms=0)
+    assert report.to_json() == reference.to_json()
+
+
+def test_phase_blocks_stack_the_sample_points_in_order():
+    ctx = GroupContext(3)
+    cfg = ExperimentConfig(n=3, seed=5, samples=2 * SAMPLE_BLOCK + 3)
+    points = [x for _, x in _sample_points(cfg, ctx, cfg.samples)]
+    blocks = list(_phase_blocks(cfg, ctx, cfg.samples))
+    assert [len(b.g) for b in blocks] == [SAMPLE_BLOCK, SAMPLE_BLOCK, 3]
+    for part in ("g", "J"):
+        stacked = np.concatenate([getattr(b, part) for b in blocks])
+        assert stacked.tobytes() == np.array([getattr(x, part) for x in points]).tobytes()
+
+
+def test_reduced_const_span_memory_does_not_grow_with_samples():
+    # one block is the unit of work, so eight times the samples may not take
+    # eight times the memory; a first run fills the caches
+    def peak(samples):
+        cfg = ExperimentConfig(n=3, seed=1, samples=samples)
+        tracemalloc.start()
+        try:
+            run_check("reduced-const-span", cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_check("reduced-const-span", ExperimentConfig(n=3, seed=1, samples=SAMPLE_BLOCK))
+    assert peak(8 * SAMPLE_BLOCK) <= 1.25 * peak(SAMPLE_BLOCK)

@@ -344,6 +344,11 @@ def test_chart_rows_equal_the_per_vector_coordinates_bit_for_bit(n):
     assert chart_rows(ctx, a, b).shape == (7, 2 * ctx.dim_g)
     assert chart_rows(ctx, a, b).tobytes() == want.tobytes()
     assert chart_rows(ctx, a[:1], b[:1]).tobytes() == want[:1].tobytes()
+    # a stack of points: one row block per point, the gather taken per point
+    stacked = chart_rows(ctx, np.array([a, b]), np.array([b, a]))
+    assert stacked.shape == (2, 7, 2 * ctx.dim_g)
+    assert stacked[0].tobytes() == want.tobytes()
+    assert stacked[1].tobytes() == chart_rows(ctx, b, a).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -488,3 +493,45 @@ def test_quotient_rank_against_plain_rank_for_invariant_rows():
     D = pullback_differential_row(x, gens)
     plain = np.linalg.matrix_rank(D, tol=1e-8)
     assert reduced_constants_span(x, gens) == plain
+
+
+def _stack_points(points):
+    return PhasePoint(np.array([x.g for x in points]), np.array([x.J for x in points]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_certificates_equal_the_one_point_calls_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(170 + n)
+    points = [random_phase_point(ctx, rng) for _ in range(3)]
+    # off the principal stratum: the identity commutes with everything
+    points.insert(1, PhasePoint(np.eye(n, dtype=complex), points[0].J))
+    # one repeated eigenvalue: principal from n = 3 on, while its image is not
+    # principal only because the momentum is not regular (from n = 4 on)
+    eigenvalues = np.r_[0.0, 0.0, 1.0 : n - 1]
+    points.append(PhasePoint(points[0].g, 1j * np.diag(eigenvalues - eigenvalues.mean())))
+    xs = _stack_points(points)
+    flags = classify(xs)
+    for key, value in vars(flags).items():
+        assert value.tolist() == [getattr(classify(x), key) for x in points]
+    assert flags.principal.tolist() == [True, False, True, True, n > 2]
+    assert flags.image_principal.tolist() == [True, False, True, True, False]
+    gens = word_generators(3)
+    rows = pullback_differential_row(xs, gens)
+    assert rows.tobytes() == np.array([pullback_differential_row(x, gens) for x in points]).tobytes()
+    assert span_plateau(xs, 4) == [span_plateau(x, 4) for x in points]
+    worst = max(max_centrality_defect(x, gens) for x in points)
+    assert max_centrality_defect(xs, gens).hex() == worst.hex()
+    pairs = [(random_algebra(ctx, rng), random_algebra(ctx, rng)) for _ in range(3)]
+    pairs.append((pairs[0][0], pairs[0][0]))  # the diagonal, off the principal stratum
+    z = DoublePoint(*(np.array(part) for part in zip(*pairs)))
+    one = [DoublePoint(X, Y) for X, Y in pairs]
+    want = np.array([double_differential_matrix(zi, gens) for zi in one])
+    assert double_differential_matrix(z, gens).tobytes() == want.tobytes()
+    assert invariant_span_double(z, gens).tolist() == [invariant_span_double(zi, gens) for zi in one]
+    assert double_orbit_dim(z).tolist() == [double_orbit_dim(zi) for zi in one]
+
+
+def test_span_plateau_of_an_empty_stack_is_no_sweep():
+    empty = np.zeros((0, 3, 3), dtype=complex)
+    assert span_plateau(PhasePoint(empty, empty), 4) == []
