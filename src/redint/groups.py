@@ -281,6 +281,8 @@ def numerical_rank(M, tau_rank: float):
     callers can attach them to reports. Over a stack ``(..., r, c)`` both carry
     its leading shape (an empty stack, empty ranks), each entry bit for bit.
     """
+    if np.ndim(M) < 2:
+        raise ShapeError(f"expected a matrix or a stack (..., r, c), got shape {np.shape(M)}")
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     rank = np.count_nonzero(s > tau_rank * s[..., :1], axis=-1)
     return (int(rank) if rank.ndim == 0 else rank), s

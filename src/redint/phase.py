@@ -70,6 +70,12 @@ def gradients(F: w.Observable, x: PhasePoint):
     return w.left_group_gradient(F, env), w.letter_gradient(F, env, "J")
 
 
+def gradient_table(observables, x: PhasePoint):
+    """:func:`gradients` of every observable at ``x`` from one kernel call, an
+    array ``(2, K) + x.J.shape``; each slice equals its one-point call bit for bit."""
+    return w._gradient_stacks(observables, environment(x), (w._LEFT_GROUP_RULES, "J"))
+
+
 def bracket_from_gradients(J, gradF, gradH):
     """The bracket formula at fiber value ``J`` from two (stacked) gradient pairs."""
     (gF, dF), (gH, dH) = gradF, gradH
@@ -81,23 +87,23 @@ def poisson_bracket(F: w.Observable, H: w.Observable, x: PhasePoint):
     return bracket_from_gradients(x.J, gradients(F, x), gradients(H, x))
 
 
-def hamiltonian_velocity(H: w.Observable, x: PhasePoint):
-    """Right-trivialized velocity ``(a, b)`` of the Hamiltonian flow of ``H``.
+def hamiltonian_velocity(J, gradH):
+    """Right-trivialized velocity ``(a, b)`` of the flow of ``H`` from its gradients at ``J``.
 
     The flow moves ``x`` along the curve ``(e^{ta} g, J + tb)`` to first
     order, and ``dF/dt = <a, grad_left F> + <b, grad_fiber F>`` reproduces
     the bracket ``{F, H}`` for every observable ``F``.
     """
-    gH, a = gradients(H, x)
-    return a, -gH - lie_bracket(x.J, a)
+    gH, a = gradH
+    return a, -gH - lie_bracket(J, a)
 
 
 def shift(x: PhasePoint, a, b, t) -> PhasePoint:
-    """Points ``(exp(t a) g, J + t b)`` of the right-trivialized chart, one per
-    step of ``t`` and direction of the stacks ``(a, b)``, shape
-    ``t.shape + a.shape``; the group parts come from one :func:`group_exp`."""
+    """Points ``(exp(t a) g, J + t b)`` of the right-trivialized chart, one per step of
+    ``t`` and direction of the stacks ``(a, b)``, shape ``t.shape + a.shape`` (steps
+    ``(m,) + a.shape[:-2]`` are per direction); one :func:`group_exp` for all."""
     t = np.asarray(t, dtype=float)
-    t = t.reshape(t.shape + (1,) * np.ndim(a))
+    t = t.reshape(t.shape + (1,) * (2 if t.shape[1:] == np.shape(a)[:-2] else np.ndim(a)))
     return PhasePoint(group_exp(t * a) @ x.g, x.J + t * b)
 
 
@@ -132,40 +138,39 @@ def fd_gradients(F: w.Observable, x: PhasePoint, h: float):
     return tuple(from_coordinates(ctx, d.reshape(2, ctx.dim_g)))
 
 
-def fd_bracket_with(F_value, H: w.Observable, x: PhasePoint, h: float) -> float:
-    """Bracket ``{P, H}`` of a black-box function ``P`` with an observable.
+def fd_bracket_with(F_value, velocity, x: PhasePoint, h: float):
+    """Brackets ``{P, H}`` of a black-box function ``P`` with the observables
+    whose Hamiltonian velocities ``(a, b)`` are stacks ``(k, n, n)``; a float
+    for one velocity ``(n, n)``, and 0.0 for a direction of zero speed.
 
     ``F_value`` evaluates ``P`` on a stack of points and is called once, on the
-    four points of a fourth-order central stencil along the exact Hamiltonian
-    direction of ``H``; they come from one :func:`shift`, and the stencil keeps
-    the truncation error below the roundoff floor. Used for nested brackets and
-    product observables, which leave the trace-word family.
+    ``(4, k)`` points of fourth-order central stencils from one :func:`shift`;
+    the stencil keeps the truncation error below the roundoff floor. Used for
+    nested brackets and product observables, which leave the trace-word family.
     """
-    a, b = hamiltonian_velocity(H, x)
-    speed = float(np.sqrt(inner(a, a) + inner(b, b)))
-    if speed == 0.0:
-        return 0.0
+    a, b = velocity
+    speed = np.sqrt(inner(a, a) + inner(b, b))
     # keep the chart step bounded in arc length; balances the fourth-order
     # truncation against the roundoff floor for fast directions
-    s = max(h, 6e-4) / max(speed, 1.0)
-    f = F_value(shift(x, a, b, [s, -s, 2.0 * s, -2.0 * s]))
-    return float((8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * s))
+    s = max(h, 6e-4) / np.maximum(speed, 1.0)
+    f = F_value(shift(x, a, b, np.multiply.outer([1.0, -1.0, 2.0, -2.0], s)))
+    d = np.where(speed == 0.0, 0.0, (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * s))
+    return float(d) if d.ndim == 0 else d
 
 
-def product_gradients(F: w.Observable, G: w.Observable, x: PhasePoint):
-    """Gradients of the pointwise product ``F * G`` by the product rule.
+def product_gradients(fv, gv, gradF, gradG):
+    """Gradients ``(grad_left, grad_fiber)`` of the pointwise product ``F * G``
+    by the product rule, from the factor values and gradient pairs.
 
     The product of two trace observables is no longer a trace word, but its
     gradients are exact combinations of the factor gradients.
     """
-    fv, gv = evaluate(F, x), evaluate(G, x)
-    (gF, dF), (gG, dG) = gradients(F, x), gradients(G, x)
-    return fv * gG + gv * gF, fv * dG + gv * dF
+    return fv * np.asarray(gradG) + gv * np.asarray(gradF)
 
 
-def product_bracket(F: w.Observable, G: w.Observable, H: w.Observable, x: PhasePoint) -> float:
-    """``{F * G, H}`` with the product gradients fed through the bracket."""
-    return bracket_from_gradients(x.J, product_gradients(F, G, x), gradients(H, x))
+def product_bracket(J, fv, gv, gradF, gradG, gradH) -> float:
+    """``{F * G, H}`` at fiber value ``J``, the product gradients fed through the bracket."""
+    return bracket_from_gradients(J, product_gradients(fv, gv, gradF, gradG), gradH)
 
 
 def act(eta, x: PhasePoint) -> PhasePoint:

@@ -26,7 +26,7 @@ for any input stratum rather than failing.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +53,7 @@ from .groups import (
     lie_bracket,
     numerical_rank,
 )
-from .phase import PhasePoint, bracket_from_gradients, environment, moment_map, poisson_bracket
+from .phase import PhasePoint, bracket_from_gradients, gradient_table, moment_map, poisson_bracket
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,14 @@ class StratumFlags:
     image_principal   the constants-map image has regular components and a
                       discrete joint stabilizer
     regular_moment    the moment-map value is regular
+    image_stabilizer_dim  (not printed) the image's joint stabilizer dimension
     """
 
     regular_momentum: bool
     principal: bool
     image_principal: bool
     regular_moment: bool
+    image_stabilizer_dim: int = field(repr=False)
 
 
 def classify(x: PhasePoint) -> StratumFlags:
@@ -84,10 +86,10 @@ def classify(x: PhasePoint) -> StratumFlags:
     regular_momentum = is_regular(x.J)
     principal = joint_centralizer_dim([x.J], [x.g]) == 0
     z = constants_map(x)
-    image_principal = principal & regular_momentum & is_regular(z.X)
-    image_principal &= joint_centralizer_dim([z.X, z.Y], []) == 0
+    stab = joint_centralizer_dim([z.X, z.Y], [])
+    image_principal = principal & regular_momentum & is_regular(z.X) & (stab == 0)
     regular_moment = is_regular(moment_map(x))
-    return StratumFlags(regular_momentum, principal, image_principal, regular_moment)
+    return StratumFlags(regular_momentum, principal, image_principal, regular_moment, stab)
 
 
 def chart_rows(ctx: GroupContext, a, b):
@@ -218,9 +220,7 @@ def max_centrality_defect(x: PhasePoint, gens) -> float:
     """Largest :func:`centrality_defect` over ``k = 2..n`` and ``gens``, in the
     same arithmetic: one kernel call and one broadcast bracket over the pairs."""
     casimirs = [casimir_double(k, "Y") for k in range(2, x.n + 1)]
-    left, fiber = w._gradient_stacks(
-        [pullback(f) for f in (*gens, *casimirs)], environment(x), (w._LEFT_GROUP_RULES, "J")
-    )
+    left, fiber = gradient_table([pullback(f) for f in (*gens, *casimirs)], x)
     m = len(gens)
     d = bracket_from_gradients(x.J, (left[m:, None], fiber[m:, None]), (left[:m], fiber[:m]))
     return float(max((0.0, *abs(d).ravel())))

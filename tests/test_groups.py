@@ -508,6 +508,12 @@ def test_stacked_regularity_stabilizers_and_ranks_equal_the_one_point_calls(n):
     assert ranks[1, 0] == n + 1
 
 
+def test_numerical_rank_rejects_input_with_fewer_than_two_axes():
+    for bad in (np.zeros(3), np.zeros(0), 1.0, [1.0, 2.0]):
+        with pytest.raises(ShapeError):
+            numerical_rank(bad, TAU_RANK)
+
+
 def test_empty_and_mismatched_stacks_fail_honestly():
     # an empty stack has no ranks; a stack of empty matrices has rank 0 each
     ranks, s = numerical_rank(np.zeros((0, 4, 3)), TAU_RANK)

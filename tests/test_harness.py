@@ -11,9 +11,19 @@ import numpy as np
 import pytest
 
 from redint import free_motion as fm
+from redint import harness
 from redint import reduction as rd
+from redint import words as w
 from redint.cli import main as cli_main
-from redint.groups import GroupContext, joint_centralizer_dim, random_algebra
+from redint.groups import (
+    H_FD,
+    GroupContext,
+    basis_coordinates,
+    inner,
+    joint_centralizer_dim,
+    lie_bracket,
+    random_algebra,
+)
 from redint.harness import (
     CHECKS,
     SAMPLE_BLOCK,
@@ -28,6 +38,15 @@ from redint.harness import (
     run_check,
     sample_rng,
     summarize,
+)
+from redint.phase import (
+    bracket_from_gradients,
+    chart_basis,
+    evaluate,
+    fd_directional,
+    gradients,
+    poisson_bracket,
+    shift,
 )
 
 FAST = ExperimentConfig(n=2, seed=7, samples=5, max_word_len=3)
@@ -422,3 +441,85 @@ def test_reduced_const_span_memory_does_not_grow_with_samples():
 
     run_check("reduced-const-span", ExperimentConfig(n=3, seed=1, samples=SAMPLE_BLOCK))
     assert peak(8 * SAMPLE_BLOCK) <= 1.25 * peak(SAMPLE_BLOCK)
+
+
+# --- bracket-axioms from two kernel calls per sample ------------------------
+# The check as it ran before it took its gradients once per sample: a kernel
+# call per bracket, product and velocity, and one stencil per Jacobi term.
+
+
+def _reference_one_fd_bracket_with(F_value, H, x, h):
+    gH, a = gradients(H, x)
+    b = -gH - lie_bracket(x.J, a)
+    speed = float(np.sqrt(inner(a, a) + inner(b, b)))
+    if speed == 0.0:
+        return 0.0
+    s = max(h, 6e-4) / max(speed, 1.0)
+    f = F_value(shift(x, a, b, [s, -s, 2.0 * s, -2.0 * s]))
+    return float((8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * s))
+
+
+def _reference_bracket_axioms(cfg, nested):
+    ctx = GroupContext(cfg.n)
+    worst_anti = worst_leibniz = worst_jacobi = worst_product_fd = 0.0
+    for rng, x in _sample_points(cfg, ctx, cfg.samples):
+        F, G, H = (w.random_observable(rng, w.PHASE_LETTERS, max_len=3) for _ in range(3))
+
+        worst_anti = max(
+            worst_anti, abs(poisson_bracket(F, H, x) + poisson_bracket(H, F, x))
+        )
+
+        fv, gv = evaluate(F, x), evaluate(G, x)
+        (gF, dF), (gG, dG) = gradients(F, x), gradients(G, x)
+        left, fiber = fv * gG + gv * gF, fv * dG + gv * dF
+        lhs = bracket_from_gradients(x.J, (left, fiber), gradients(H, x))
+        rhs = evaluate(F, x) * poisson_bracket(G, H, x) + evaluate(G, x) * poisson_bracket(F, H, x)
+        worst_leibniz = max(worst_leibniz, abs(lhs - rhs))
+        prod = lambda y: evaluate(F, y) * evaluate(G, y)
+        fd = fd_directional(prod, x, *chart_basis(ctx), H_FD)
+        coords = basis_coordinates(ctx, np.stack([left, fiber])).ravel()
+        worst_product_fd = max((worst_product_fd, *abs(fd - coords)))
+
+        total = 0.0
+        nested.append([])
+        for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
+            # {A, {B, C}} = -d({B, C}) along the Hamiltonian direction of A
+            pair = lambda y: poisson_bracket(B, C, y)
+            nested[-1].append(_reference_one_fd_bracket_with(pair, A, x, H_FD))
+            total += -nested[-1][-1]
+        worst_jacobi = max(worst_jacobi, abs(total))
+    return {
+        "max_antisymmetry_defect": worst_anti,
+        "max_leibniz_defect": worst_leibniz,
+        "max_jacobi_defect": worst_jacobi,
+        "max_product_gradient_fd_defect": worst_product_fd,
+    }
+
+
+BRACKET_CONFIGS = [
+    ExperimentConfig(n=n, seed=seed, samples=samples)
+    for seed in (1, 97)
+    for n, samples in ((2, 50), (3, 50), (5, 20), (8, 3))
+]
+
+
+@pytest.mark.parametrize("cfg", BRACKET_CONFIGS, ids=lambda c: f"n{c.n}-seed{c.seed}-samples{c.samples}")
+def test_bracket_axioms_equals_the_per_bracket_check_byte_for_byte(cfg, monkeypatch):
+    # every nested Jacobi bracket, stencil by stencil, as well as the report
+    stacked, reference = [], []
+    fd_bracket_with = harness.fd_bracket_with
+
+    def recording(*args):
+        values = fd_bracket_with(*args)
+        stacked.append(values.tolist())
+        return values
+
+    monkeypatch.setattr(harness, "fd_bracket_with", recording)
+    report = dataclasses.replace(run_check("bracket-axioms", cfg), wall_time_ms=0)
+    check = lambda c: (_reference_bracket_axioms(c, reference), report.expected)
+    monkeypatch.setitem(CHECKS, "bracket-axioms", check)
+    expected = dataclasses.replace(run_check("bracket-axioms", cfg), wall_time_ms=0)
+    assert report.to_json() == expected.to_json()
+    assert len(stacked) == cfg.samples
+    assert stacked == reference
+

@@ -26,6 +26,7 @@ from redint.phase import (
     fd_bracket_with,
     fd_directional,
     fd_gradients,
+    gradient_table,
     gradients,
     hamiltonian_velocity,
     moment_generates_defect,
@@ -168,7 +169,7 @@ def test_hamiltonian_velocity_reproduces_bracket():
     x = random_phase_point(CTX3, rng)
     F = random_observable(rng, ("G", "Ginv", "J"), max_len=3)
     H = random_observable(rng, ("G", "Ginv", "J"), max_len=3)
-    a, b = hamiltonian_velocity(H, x)
+    a, b = hamiltonian_velocity(x.J, gradients(H, x))
     left, fiber = gradients(F, x)
     chain = inner(a, left) + inner(b, fiber)
     assert chain == pytest.approx(poisson_bracket(F, H, x), abs=1e-12)
@@ -180,8 +181,8 @@ def test_leibniz_property():
         for _ in range(20):
             x = random_phase_point(ctx, rng)
             F, G, H = (random_observable(rng, ("G", "Ginv", "J"), max_len=3) for _ in range(3))
-            lhs = product_bracket(F, G, H, x)
             fv, gv = evaluate(F, x), evaluate(G, x)
+            lhs = product_bracket(x.J, fv, gv, gradients(F, x), gradients(G, x), gradients(H, x))
             rhs = fv * poisson_bracket(G, H, x) + gv * poisson_bracket(F, H, x)
             assert abs(lhs - rhs) <= 1e-9
             # the product rule fed through the bracket formula, written out
@@ -200,7 +201,8 @@ def test_jacobi_identity_sampled():
             F, G, H = (random_observable(rng, ("G", "Ginv", "J"), max_len=3) for _ in range(3))
             total = 0.0
             for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
-                total += -fd_bracket_with(lambda y: poisson_bracket(B, C, y), A, x, H_FD)
+                velocity = hamiltonian_velocity(x.J, gradients(A, x))
+                total += -fd_bracket_with(lambda y: poisson_bracket(B, C, y), velocity, x, H_FD)
             worst = max(worst, abs(total))
         assert worst <= 1e-6
 
@@ -299,7 +301,7 @@ def _reference_fd_gradients(F, x, h):
 
 
 def _reference_fd_bracket_with(F_value, H, x, h):
-    a, b = hamiltonian_velocity(H, x)
+    a, b = hamiltonian_velocity(x.J, gradients(H, x))
     speed = float(np.sqrt(inner(a, a) + inner(b, b)))
     if speed == 0.0:
         return 0.0
@@ -360,12 +362,62 @@ def test_fd_bracket_with_equals_the_four_shift_stencil_bit_for_bit(ctx):
             lambda y: evaluate(F, y) * evaluate(G, y),
         ):
             calls = []
-            got = fd_bracket_with(lambda y: calls.append(y.g.shape) or F_value(y), H, x, H_FD)
-            # no call when H generates no motion at x
-            assert calls in ([], [(4, ctx.n, ctx.n)])
+            velocity = hamiltonian_velocity(x.J, gradients(H, x))
+            counted = lambda y: calls.append(y.g.shape) or F_value(y)
+            got = fd_bracket_with(counted, velocity, x, H_FD)
+            assert calls == [(4, ctx.n, ctx.n)]
+            assert type(got) is float
             assert got == _reference_fd_bracket_with(F_value, H, x, H_FD)
     still = PhasePoint(random_group(ctx, rng), np.zeros((ctx.n, ctx.n), dtype=complex))
-    assert fd_bracket_with(lambda y: evaluate(F, y), Observable(()), still, H_FD) == 0.0
+    velocity = hamiltonian_velocity(still.J, gradients(Observable(()), still))
+    assert fd_bracket_with(lambda y: evaluate(F, y), velocity, still, H_FD) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_fd_bracket_with_on_a_velocity_stack_equals_one_call_per_direction_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(120 + n)
+    for _ in range(6):
+        x = random_phase_point(ctx, rng)
+        F, G, H = (random_observable(rng, ("G", "Ginv", "J"), max_len=3) for _ in range(3))
+        # the last direction is the zero velocity of the empty observable
+        directions = (F, H, Observable(()))
+        velocity = hamiltonian_velocity(x.J, gradient_table(directions, x))
+        for F_value in (
+            lambda y: poisson_bracket(G, H, y),
+            lambda y: evaluate(F, y) * evaluate(G, y),
+        ):
+            calls = []
+            counted = lambda y: calls.append(y.g.shape) or F_value(y)
+            got = fd_bracket_with(counted, velocity, x, H_FD)
+            assert calls == [(4, 3, n, n)]
+            want = [_reference_fd_bracket_with(F_value, A, x, H_FD) for A in directions]
+            assert got.tolist() == want
+            assert want[2] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_gradient_table_equals_the_one_observable_one_point_gradients_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(130 + n)
+    observables = [random_observable(rng, ("G", "Ginv", "J"), max_len=4) for _ in range(3)]
+    x = random_phase_point(ctx, rng)
+    table = gradient_table(observables, x)
+    assert table.shape == (2, 3, n, n)
+    for k, F in enumerate(observables):
+        left, fiber = gradients(F, x)
+        assert table[0, k].tobytes() == left.tobytes()
+        assert table[1, k].tobytes() == fiber.tobytes()
+    stack = _stacked_points(ctx, rng, 12)
+    stack = PhasePoint(stack.g.reshape(4, 3, n, n), stack.J.reshape(4, 3, n, n))
+    table = gradient_table(observables, stack)
+    assert table.shape == (2, 3, 4, 3, n, n)
+    for i, p in np.ndindex(4, 3):
+        y = PhasePoint(stack.g[i, p], stack.J[i, p])
+        for k, F in enumerate(observables):
+            left, fiber = gradients(F, y)
+            assert table[0, k, i, p].tobytes() == left.tobytes()
+            assert table[1, k, i, p].tobytes() == fiber.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

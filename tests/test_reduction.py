@@ -98,6 +98,23 @@ def test_classify_is_gauge_invariant():
             assert f0 == f1
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_classify_carries_the_image_stabilizer_dimension(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(60 + n)
+    x = random_phase_point(ctx, rng)
+    # the identity image point of a central g and J = 0 is fixed by everything
+    still = PhasePoint(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
+    for point in (x, still):
+        flags = classify(point)
+        z = constants_map(point)
+        assert flags.image_stabilizer_dim == joint_centralizer_dim([z.X, z.Y], [])
+        assert not flags.image_principal or flags.image_stabilizer_dim == 0
+        assert "image_stabilizer_dim" not in repr(flags)
+    assert classify(x).image_stabilizer_dim == 0
+    assert classify(still).image_stabilizer_dim == ctx.dim_g
+
+
 def test_gauge_directions_edge_cases():
     x = PhasePoint(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
     assert gauge_matrix(x).shape == (CTX2.dim_g, 2 * CTX2.dim_g)
