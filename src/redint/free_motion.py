@@ -31,7 +31,7 @@ from .groups import (
     numerical_rank,
     project_algebra,
 )
-from .phase import PhasePoint, act, chart_basis, fd_directional, poisson_bracket
+from .phase import PhasePoint, act, fd_chart, poisson_bracket
 
 # part/sign of Re[i^k tr(W^k)] as a function of k mod 4
 _CASIMIR_PART = {0: ("re", 1.0), 1: ("im", -1.0), 2: ("re", -1.0), 3: ("im", 1.0)}
@@ -200,8 +200,7 @@ def constants_map_jacobian(x: PhasePoint, h: float):
     Columns follow :func:`chart_basis`; rows flatten both components of
     the double into real coordinates.
     """
-    flat = lambda y: _flatten_double(constants_map(y))
-    return np.ascontiguousarray(fd_directional(flat, x, *chart_basis(x.context), h).T)
+    return np.ascontiguousarray(fd_chart(lambda y: _flatten_double(constants_map(y)), x, h).T)
 
 
 def constants_map_differential(x: PhasePoint, a, b):

@@ -13,7 +13,6 @@ import json
 import numbers
 import time
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -38,15 +37,15 @@ from .groups import (
 from .phase import (
     PhasePoint,
     bracket_from_gradients,
-    chart_basis,
     evaluate,
     fd_bracket_with,
-    fd_directional,
+    fd_chart,
     gradient_table,
     hamiltonian_velocity,
     moment_map,
     product_bracket,
     product_gradients,
+    random_algebra_pairs,
     random_phase_point,
 )
 
@@ -81,8 +80,9 @@ class ExperimentConfig:
             raise ConfigError("max_word_len must be at least 2")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if not 0 < self.t_max < np.inf:
-            raise ConfigError("t_max must be positive and finite")
+        t_max = self.t_max
+        if isinstance(t_max, bool) or not isinstance(t_max, numbers.Real) or not 0 < t_max < np.inf:
+            raise ConfigError(f"t_max must be a positive finite number, got {t_max!r}")
 
 
 @dataclass(frozen=True)
@@ -120,25 +120,23 @@ def sample_rng(seed: int, index: int):
 SAMPLE_BLOCK = 8
 
 
+def _generator_blocks(cfg: ExperimentConfig, count: int):
+    """The generators of samples ``0..count-1`` in lists of at most :data:`SAMPLE_BLOCK`."""
+    for start in range(0, count, SAMPLE_BLOCK):
+        yield [sample_rng(cfg.seed, i) for i in range(start, min(count, start + SAMPLE_BLOCK))]
+
+
 def _sample_points(cfg: ExperimentConfig, ctx: GroupContext, count: int):
     """``(rng, x)`` for samples ``0..count-1``: the phase point is the first
     draw of the sample's own generator, and later draws continue from it."""
-    for i in range(count):
-        rng = sample_rng(cfg.seed, i)
-        yield rng, random_phase_point(ctx, rng)
-
-
-def _sample_blocks(samples, point):
-    """The ``(a, b)`` matrix pairs ``samples``, in order, in blocks of at most
-    :data:`SAMPLE_BLOCK`; each block is ``point(A, B)`` of their stacks ``(S, n, n)``."""
-    samples = iter(samples)
-    while block := list(islice(samples, SAMPLE_BLOCK)):
-        yield point(*(np.array(mats) for mats in zip(*block)))
+    for rngs in _generator_blocks(cfg, count):
+        xs = random_phase_point(ctx, rngs)
+        yield from zip(rngs, map(PhasePoint, xs.g, xs.J))
 
 
 def _phase_blocks(cfg: ExperimentConfig, ctx: GroupContext, count: int):
-    """The points of :func:`_sample_points`, stacked in blocks."""
-    return _sample_blocks(((x.g, x.J) for _, x in _sample_points(cfg, ctx, count)), PhasePoint)
+    """The points of :func:`_sample_points`, stacked in blocks drawn one at a time."""
+    return (random_phase_point(ctx, rngs) for rngs in _generator_blocks(cfg, count))
 
 
 def _bound(value, cmp, provenance):
@@ -184,7 +182,7 @@ def _check_bracket_axioms(cfg: ExperimentConfig):
         lhs = product_bracket(x.J, fv, gv, gF, gG, gH)
         rhs = fv * bracket(gG, gH) + gv * bracket(gF, gH)
         worst_leibniz = max(worst_leibniz, abs(lhs - rhs))
-        fd = fd_directional(lambda y: evaluate(F, y) * evaluate(G, y), x, *chart_basis(ctx), H_FD)
+        fd = fd_chart(lambda y: evaluate(F, y) * evaluate(G, y), x, H_FD)
         coords = basis_coordinates(ctx, product_gradients(fv, gv, gF, gG)).ravel()
         worst_product_fd = max((worst_product_fd, *abs(fd - coords)))
 
@@ -390,9 +388,8 @@ def _check_invariant_span_double(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(_word_cap(cfg))
     mismatches = 0
-    rngs = (sample_rng(cfg.seed, i) for i in range(cfg.samples))
-    pairs = ((random_algebra(ctx, rng), random_algebra(ctx, rng)) for rng in rngs)
-    for z in _sample_blocks(pairs, fm.DoublePoint):
+    for rngs in _generator_blocks(cfg, cfg.samples):
+        z = fm.DoublePoint(*random_algebra_pairs(ctx, rngs))
         span = rd.invariant_span_double(z, gens)
         mismatches += int(np.count_nonzero(span != 2 * ctx.dim_g - rd.double_orbit_dim(z)))
     observed = {"generic_mismatches": mismatches}

@@ -17,6 +17,7 @@ where ``grad_left`` differentiates along ``g -> e^{tA} g`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,16 +127,29 @@ def fd_directional(F_value, x: PhasePoint, a, b, h: float):
     return (v[0] - v[1]) / (2.0 * h)
 
 
-def directional_derivative(F: w.Observable, x: PhasePoint, a, b, h: float):
-    """Central finite difference of ``F`` along the chart curve of ``(a, b)``."""
-    return fd_directional(lambda y: evaluate(F, y), x, a, b, h)
+@lru_cache(maxsize=None)
+def _chart_steps(n: int, h: float):
+    """``(exp(t a), t b)`` for the steps ``t = [h, -h]`` of :func:`shift` along the
+    :func:`chart_basis` directions ``(a, b)``, read-only ``(2, 2 dim_g, n, n)``."""
+    a, b = chart_basis(GroupContext(n))
+    t = np.array([h, -h])[:, None, None, None]
+    G, B = group_exp(t * a), t * b
+    G.flags.writeable = B.flags.writeable = False
+    return G, B
+
+
+def fd_chart(F_value, x: PhasePoint, h: float):
+    """:func:`fd_directional` along every :func:`chart_basis` direction, bit for
+    bit, from the steps cached per ``(n, h)``; ``F_value`` is called once."""
+    G, B = _chart_steps(x.n, h)
+    v = F_value(PhasePoint(G @ x.g, x.J + B))
+    return (v[0] - v[1]) / (2.0 * h)
 
 
 def fd_gradients(F: w.Observable, x: PhasePoint, h: float):
     """Finite-difference oracle for :func:`gradients`, in the same order."""
-    ctx = x.context
-    d = directional_derivative(F, x, *chart_basis(ctx), h)
-    return tuple(from_coordinates(ctx, d.reshape(2, ctx.dim_g)))
+    d = fd_chart(lambda y: evaluate(F, y), x, h)
+    return tuple(from_coordinates(x.context, d.reshape(2, -1)))
 
 
 def fd_bracket_with(F_value, velocity, x: PhasePoint, h: float):
@@ -218,9 +232,16 @@ def moment_generates_defect(F: w.Observable, X, x: PhasePoint) -> float:
     return abs(analytic - numeric)
 
 
-def random_phase_point(ctx: GroupContext, seed) -> PhasePoint:
-    """Random phase point with independent group and algebra components."""
-    rng = np.random.default_rng(seed)
-    from .groups import random_algebra, random_group
+def random_algebra_pairs(ctx: GroupContext, seeds):
+    """Two :func:`~redint.groups.random_algebra` draws per seed or Generator, as two
+    ``(S, n, n)`` stacks from one :func:`from_coordinates`, each draw bit for bit."""
+    coef = np.array([np.random.default_rng(s).standard_normal((2, ctx.dim_g)) for s in seeds])
+    return tuple(np.ascontiguousarray(from_coordinates(ctx, coef).swapaxes(0, 1)))
 
-    return PhasePoint(random_group(ctx, rng), random_algebra(ctx, rng))
+
+def random_phase_point(ctx: GroupContext, seed) -> PhasePoint:
+    """Random phase point: the exponential of a random algebra element, then another;
+    for a list or tuple of seeds or Generators, the stack of their one-point draws."""
+    stack = isinstance(seed, (list, tuple))
+    X, J = random_algebra_pairs(ctx, seed if stack else [seed])
+    return PhasePoint(group_exp(X), J) if stack else PhasePoint(group_exp(X[0]), J[0])

@@ -22,6 +22,7 @@ drops to zero.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,13 +235,6 @@ def regauge_to_slice(y: PhasePoint) -> SliceCoords:
     return SliceCoords(float(q[0]), float(p[0]), float(x[0]))
 
 
-def _sutherland_force(q, x2):
-    """``-dV/dq`` for the Sutherland potential ``V = x^2 / (8 sin^2 q)``,
-    given ``x2 = x * x``."""
-    s = math.sin(q)
-    return x2 * math.cos(q) / (4.0 * s**3)
-
-
 def integrate_sutherland(c0: SliceCoords, T: float, steps: int):
     """Classical fixed-step fourth-order integration of the canonical
     equations ``dq/dt = p, dp/dt = -dV/dq`` of the Sutherland energy.
@@ -253,24 +247,23 @@ def integrate_sutherland(c0: SliceCoords, T: float, steps: int):
     if steps < 1:
         raise ValueError("steps must be at least 1")
     h = T / steps
-    q, p, x = float(c0.q), float(c0.p), float(c0.x)
-    x2 = x * x
-    qs = np.empty(steps + 1)
-    ps = np.empty(steps + 1)
-    qs[0], ps[0] = q, p
-    for k in range(1, steps + 1):
-        # each stage's dq/dt is that stage's momentum
-        p1 = _sutherland_force(q, x2)
-        q2 = p + 0.5 * h * p1
-        p2 = _sutherland_force(q + 0.5 * h * p, x2)
-        q3 = p + 0.5 * h * p2
-        p3 = _sutherland_force(q + 0.5 * h * q2, x2)
+    half = 0.5 * h  # (0.5 * h) * p1 is how 0.5 * h * p1 rounds
+    q, p, x2 = float(c0.q), float(c0.p), float(c0.x) * float(c0.x)
+    qs, ps = array("d", [q]), array("d", [p])
+    for _ in range(steps):
+        # each stage's dq/dt is its momentum, and dp/dt the force x^2 cos q / (4 sin^3 q)
+        p1 = x2 * math.cos(q) / (4.0 * math.sin(q) ** 3)
+        q2 = p + half * p1
+        p2 = x2 * math.cos(y := q + half * p) / (4.0 * math.sin(y) ** 3)
+        q3 = p + half * p2
+        p3 = x2 * math.cos(y := q + half * q2) / (4.0 * math.sin(y) ** 3)
         q4 = p + h * p3
-        p4 = _sutherland_force(q + h * q3, x2)
+        p4 = x2 * math.cos(y := q + h * q3) / (4.0 * math.sin(y) ** 3)
         q = q + h * (p + 2 * q2 + 2 * q3 + q4) / 6.0
         p = p + h * (p1 + 2 * p2 + 2 * p3 + p4) / 6.0
-        qs[k], ps[k] = q, p
-    return np.linspace(0.0, T, steps + 1), qs, ps
+        qs.append(q)
+        ps.append(p)
+    return np.linspace(0.0, T, steps + 1), np.frombuffer(qs), np.frombuffer(ps)
 
 
 def calibrate_time_scale(x_val: float) -> float:

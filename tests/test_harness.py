@@ -23,6 +23,7 @@ from redint.groups import (
     joint_centralizer_dim,
     lie_bracket,
     random_algebra,
+    random_group,
 )
 from redint.harness import (
     CHECKS,
@@ -40,6 +41,7 @@ from redint.harness import (
     summarize,
 )
 from redint.phase import (
+    PhasePoint,
     bracket_from_gradients,
     chart_basis,
     evaluate,
@@ -75,6 +77,8 @@ def test_config_validation():
         {"max_word_len": "4"},
         {"t_max": float("inf")},
         {"t_max": float("nan")},
+        {"t_max": True},
+        {"t_max": "10"},
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
@@ -214,7 +218,15 @@ def test_cli_config_errors(tmp_path, monkeypatch, capsys):
     assert "t_max" in proc.stderr
     monkeypatch.delenv("REDINT_SEED", raising=False)
     cfg = tmp_path / "bad.json"
-    for bad in ({"n": 2.5}, {"seed": 1.5}, {"samples": 2.5}, {"max_word_len": True}, {"t_max": float("nan")}):
+    for bad in (
+        {"n": 2.5},
+        {"seed": 1.5},
+        {"samples": 2.5},
+        {"max_word_len": True},
+        {"t_max": float("nan")},
+        {"t_max": True},
+        {"t_max": "10"},
+    ):
         cfg.write_text(json.dumps(bad))
         assert cli_main(["dpsi-rank", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
@@ -287,11 +299,19 @@ def test_cli_in_process_entry_point():
 # stacked in blocks, kept as references: each report must stay byte-identical.
 
 
+def _reference_sample_points(cfg, ctx, count):
+    """The sample points as drawn before they were drawn in blocks: one
+    group_exp and two from_coordinates calls per sample."""
+    for i in range(count):
+        rng = sample_rng(cfg.seed, i)
+        yield rng, PhasePoint(random_group(ctx, rng), random_algebra(ctx, rng))
+
+
 def _reference_flow_conservation(cfg):
     ctx = GroupContext(cfg.n)
     t_grid = np.arange(0.0, cfg.t_max + 1e-12, 0.5)
     worst = 0.0
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
+    for _, x in _reference_sample_points(cfg, ctx, cfg.samples):
         for k in range(2, ctx.n + 1):
             worst = max(worst, fm.flow_conservation_defect(x, fm.casimir(k), t_grid))
     return {"max_drift": worst}
@@ -300,7 +320,7 @@ def _reference_flow_conservation(cfg):
 def _reference_strata_census(cfg):
     ctx = GroupContext(cfg.n)
     hits = {"regular_momentum": 0, "principal": 0, "image_principal": 0, "regular_moment": 0}
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
+    for _, x in _reference_sample_points(cfg, ctx, cfg.samples):
         flags = rd.classify(x)
         for key in hits:
             hits[key] += int(getattr(flags, key))
@@ -311,7 +331,7 @@ def _reference_reduced_ham_span(cfg):
     ctx = GroupContext(cfg.n)
     spans = []
     violations = 0
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
+    for _, x in _reference_sample_points(cfg, ctx, cfg.samples):
         flags = rd.classify(x)
         if not (flags.principal and flags.regular_momentum):
             continue
@@ -334,7 +354,7 @@ def _reference_reduced_const_span(cfg):
     finals = []
     plateau_at = 0
     monotone = True
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
+    for _, x in _reference_sample_points(cfg, ctx, cfg.samples):
         if not rd.classify(x).image_principal:
             continue
         sweep = rd.span_plateau(x, _word_cap(cfg))
@@ -354,7 +374,7 @@ def _reference_centrality(cfg):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(min(cfg.max_word_len, 4))
     worst = 0.0
-    for _, x in _sample_points(cfg, ctx, min(cfg.samples, 50)):
+    for _, x in _reference_sample_points(cfg, ctx, min(cfg.samples, 50)):
         worst = max(worst, rd.max_centrality_defect(x, gens))
     return {"max_defect": worst}
 
@@ -362,7 +382,7 @@ def _reference_centrality(cfg):
 def _reference_leaf_codim(cfg):
     ctx = GroupContext(cfg.n)
     values = []
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
+    for _, x in _reference_sample_points(cfg, ctx, cfg.samples):
         flags = rd.classify(x)
         if not (flags.principal and flags.regular_moment):
             continue
@@ -427,6 +447,43 @@ def test_phase_blocks_stack_the_sample_points_in_order():
         assert stacked.tobytes() == np.array([getattr(x, part) for x in points]).tobytes()
 
 
+@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_block_drawer_equals_the_per_generator_draws_bit_for_bit(n, count):
+    ctx = GroupContext(n)
+    cfg = ExperimentConfig(n=n, seed=40 + n)
+    got = list(_sample_points(cfg, ctx, count))
+    want = list(_reference_sample_points(cfg, ctx, count))
+    assert len(got) == len(want) == count
+    for (rng, x), (ref_rng, ref) in zip(got, want):
+        assert x.g.tobytes() == ref.g.tobytes() and x.J.tobytes() == ref.J.tobytes()
+        # each generator goes on from where its own one-point draw left it
+        assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+    blocks = list(_phase_blocks(cfg, ctx, count))
+    assert [len(b.g) for b in blocks] == [min(SAMPLE_BLOCK, count - s) for s in range(0, count, SAMPLE_BLOCK)]
+    for part in ("g", "J"):
+        stacked = np.concatenate([getattr(b, part) for b in blocks])
+        assert stacked.tobytes() == np.array([getattr(x, part) for _, x in want]).tobytes()
+
+
+def test_samples_are_drawn_one_block_at_a_time_through_random_phase_point(monkeypatch):
+    sizes = []
+    draw = harness.random_phase_point
+    monkeypatch.setattr(harness, "random_phase_point", lambda ctx, seed: sizes.append(len(seed)) or draw(ctx, seed))
+    cfg = ExperimentConfig(n=3, seed=1, samples=50)
+    next(_sample_points(cfg, GroupContext(3), cfg.samples))
+    assert sizes == [SAMPLE_BLOCK]
+    sizes.clear()
+    next(_phase_blocks(cfg, GroupContext(3), cfg.samples))
+    assert sizes == [SAMPLE_BLOCK]
+    sizes.clear()
+    emit_plot_data("reduced-const-span", cfg)
+    assert sizes == [SAMPLE_BLOCK]
+    sizes.clear()
+    run_check("strata-census", dataclasses.replace(cfg, samples=SAMPLE_BLOCK + 1))
+    assert sizes == [SAMPLE_BLOCK, 1]
+
+
 def test_reduced_const_span_memory_does_not_grow_with_samples():
     # one block is the unit of work, so eight times the samples may not take
     # eight times the memory; a first run fills the caches
@@ -462,7 +519,7 @@ def _reference_one_fd_bracket_with(F_value, H, x, h):
 def _reference_bracket_axioms(cfg, nested):
     ctx = GroupContext(cfg.n)
     worst_anti = worst_leibniz = worst_jacobi = worst_product_fd = 0.0
-    for rng, x in _sample_points(cfg, ctx, cfg.samples):
+    for rng, x in _reference_sample_points(cfg, ctx, cfg.samples):
         F, G, H = (w.random_observable(rng, w.PHASE_LETTERS, max_len=3) for _ in range(3))
 
         worst_anti = max(

@@ -18,12 +18,14 @@ from redint.groups import (
 )
 from redint.phase import (
     PhasePoint,
+    _chart_steps,
     act,
     bracket_from_gradients,
     chart_basis,
     environment,
     evaluate,
     fd_bracket_with,
+    fd_chart,
     fd_directional,
     fd_gradients,
     gradient_table,
@@ -34,6 +36,7 @@ from redint.phase import (
     moment_observable,
     poisson_bracket,
     product_bracket,
+    random_algebra_pairs,
     random_phase_point,
     shift,
 )
@@ -473,3 +476,90 @@ def test_the_gradient_kernel_rejects_letters_of_different_sizes():
     for env in (mixed, {k: np.stack([v, v]) for k, v in mixed.items()}):
         with pytest.raises(ShapeError):
             letter_gradient(F, env, "J")
+
+
+# --- chart stencils from cached steps, and stacked sample draws -----------
+# fd_gradients and random_phase_point as they ran before the chart steps were
+# cached and the draws stacked: a shift of the point per call, and one
+# group_exp and two from_coordinates calls per point.
+
+
+def _reference_chart_fd_gradients(F, x, h):
+    ctx = x.context
+    d = fd_directional(lambda y: evaluate(F, y), x, *chart_basis(ctx), h)
+    return tuple(from_coordinates(ctx, d.reshape(2, ctx.dim_g)))
+
+
+def _reference_random_phase_point(ctx, seed):
+    rng = np.random.default_rng(seed)
+    return PhasePoint(random_group(ctx, rng), random_algebra(ctx, rng))
+
+
+def _flat_constants_map(y):
+    z = constants_map(y)
+    return np.concatenate([z.X.real, z.X.imag, z.Y.real, z.Y.imag], axis=-1)
+
+
+def _generators(seed, count):
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_fd_chart_equals_the_chart_basis_stencil_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(140 + n)
+    for _ in range(2):
+        x = random_phase_point(ctx, rng)
+        F, G = (random_observable(rng, ("G", "Ginv", "J"), max_len=4) for _ in range(2))
+        for F_value in (lambda y: evaluate(F, y) * evaluate(G, y), moment_map, _flat_constants_map):
+            got = fd_chart(F_value, x, H_FD)
+            want = fd_directional(F_value, x, *chart_basis(ctx), H_FD)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, want in zip(fd_gradients(F, x, H_FD), _reference_chart_fd_gradients(F, x, H_FD)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_chart_steps_are_built_once_per_size_and_step_and_read_only(n):
+    G, B = _chart_steps(n, H_FD)
+    assert _chart_steps(n, H_FD)[0] is G
+    assert _chart_steps(n, 2 * H_FD)[0] is not G
+    dim = GroupContext(n).dim_g
+    assert G.shape == B.shape == (2, 2 * dim, n, n)
+    for steps in (G, B):
+        assert not steps.flags.writeable
+        with pytest.raises(ValueError):
+            steps[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("count", [1, 8, 9])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_draws_equal_the_per_generator_draws_bit_for_bit(n, count):
+    ctx = GroupContext(n)
+    rngs, refs = _generators(n, count), _generators(n, count)
+    x = random_phase_point(ctx, rngs)
+    assert x.g.shape == x.J.shape == (count, n, n)
+    assert x.g.flags.c_contiguous and x.J.flags.c_contiguous
+    for i, ref in enumerate(refs):
+        want = _reference_random_phase_point(ctx, ref)
+        assert x.g[i].tobytes() == want.g.tobytes()
+        assert x.J[i].tobytes() == want.J.tobytes()
+    # every generator goes on from where its own one-point draw left it
+    assert [r.standard_normal(3).tobytes() for r in rngs] == [r.standard_normal(3).tobytes() for r in refs]
+
+    rngs, refs = _generators(n, count), _generators(n, count)
+    X, Y = random_algebra_pairs(ctx, tuple(rngs))
+    assert X.flags.c_contiguous and Y.flags.c_contiguous
+    for i, ref in enumerate(refs):
+        assert X[i].tobytes() == random_algebra(ctx, ref).tobytes()
+        assert Y[i].tobytes() == random_algebra(ctx, ref).tobytes()
+    assert [r.random() for r in rngs] == [r.random() for r in refs]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_one_point_draw_is_unchanged_for_a_seed_or_a_generator(n):
+    ctx = GroupContext(n)
+    for seed in (lambda: 17, lambda: np.random.default_rng(17)):
+        x, ref = random_phase_point(ctx, seed()), _reference_random_phase_point(ctx, seed())
+        assert x.g.shape == (n, n)
+        assert x.g.tobytes() == ref.g.tobytes() and x.J.tobytes() == ref.J.tobytes()

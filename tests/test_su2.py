@@ -309,6 +309,14 @@ def test_integrate_sutherland_equals_the_numpy_scalar_loop_bit_for_bit(c0):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("steps", [1, 7, 2000])
+def test_short_sutherland_runs_equal_the_numpy_scalar_loop_bit_for_bit(steps):
+    for c0 in STARTS:
+        got = integrate_sutherland(c0, 2.0, steps)
+        for a, b in zip(got, _reference_integrate(c0, 2.0, steps), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 def _probe_points(rng):
     """Slice points, their gauge rotations, and points along exact flows."""
     points = []
