@@ -288,20 +288,27 @@ def numerical_rank(M, tau_rank: float):
     return (int(rank) if rank.ndim == 0 else rank), s
 
 
-def kernel_basis(ctx: GroupContext, M):
+def kernel_basis(ctx: GroupContext, M, dim=None):
     """Algebra elements spanning the numerical kernel of the square matrix
-    ``M`` acting on :func:`basis_coordinates`: the right singular vectors
-    with singular value at most ``TAU_RANK * sigma_max``."""
+    ``M`` acting on :func:`basis_coordinates`, ``(k, n, n)``: the right singular
+    vectors with singular value at most ``TAU_RANK * sigma_max``, the last ``k``
+    as the singular values fall. Over a stack ``(..., d, d)``, ``(..., k, n, n)``
+    bit for bit; every kernel must have dimension ``dim`` (by default the
+    largest), else :class:`StructureError`."""
     _, s, vh = np.linalg.svd(M)
-    return list(from_coordinates(ctx, vh[s <= TAU_RANK * s[0]]))
+    dims = np.count_nonzero(s <= TAU_RANK * s[..., :1], axis=-1)
+    dim = int(np.max(dims, initial=0)) if dim is None else dim
+    if np.any(dims != dim):
+        raise StructureError(f"kernel dimensions {np.unique(dims)} are not all {dim}")
+    return from_coordinates(ctx, vh[..., vh.shape[-2] - dim :, :])
 
 
-def centralizer_basis(J):
-    """Orthonormal basis of the kernel of ``ad_J`` on su(n)."""
-    J = _require_square(J)
-    ctx = GroupContext(J.shape[0])
+def centralizer_basis(J, dim=None):
+    """Orthonormal basis of ker ``ad_J`` on su(n), per point of a stack ``(..., n, n)``."""
+    J = _require_square(J, stack=True)[..., None, :, :]
+    ctx = GroupContext(J.shape[-1])
     B = basis_stack(ctx)
-    return kernel_basis(ctx, basis_coordinates(ctx, J @ B - B @ J).T)
+    return kernel_basis(ctx, basis_coordinates(ctx, J @ B - B @ J).swapaxes(-1, -2), dim)
 
 
 def joint_centralizer_dim(algebra_items=(), group_items=()):

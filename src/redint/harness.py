@@ -83,6 +83,8 @@ class ExperimentConfig:
         t_max = self.t_max
         if isinstance(t_max, bool) or not isinstance(t_max, numbers.Real) or not 0 < t_max < np.inf:
             raise ConfigError(f"t_max must be a positive finite number, got {t_max!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError(f"out must be a file path string, got {self.output_path!r}")
 
 
 @dataclass(frozen=True)
@@ -167,32 +169,41 @@ def _holds(observed, spec):
 def _check_bracket_axioms(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     worst_anti = worst_leibniz = worst_jacobi = worst_product_fd = 0.0
-    p = np.arange(3)
-    for rng, x in _sample_points(cfg, ctx, cfg.samples):
-        obs = F, G, H = [w.random_observable(rng, w.PHASE_LETTERS, max_len=3) for _ in range(3)]
-        # one kernel call gives every bracket, product gradient and velocity at x
-        table = gradient_table(obs, x)
+    p, p1, p2 = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    for rngs in _generator_blocks(cfg, cfg.samples):
+        xs = random_phase_point(ctx, rngs)
+        # per sample only what reads its own words F, G, H: their gradients at x
+        # from one kernel call, their values and the product's chart stencil
+        obs = [[w.random_observable(r, w.PHASE_LETTERS, max_len=3) for _ in range(3)] for r in rngs]
+        points = list(map(PhasePoint, xs.g, xs.J))
+        table = np.stack([gradient_table(o, x) for o, x in zip(obs, points)], axis=2)
+        fv, gv = np.array([(evaluate(F, x), evaluate(G, x)) for (F, G, _), x in zip(obs, points)]).T
+        product = lambda F, G: lambda y: evaluate(F, y) * evaluate(G, y)
+        fd = np.array([fd_chart(product(F, G), x, H_FD) for (F, G, _), x in zip(obs, points)])
+
+        # the rest once per block, on the (2, S, n, n) gradient pairs
         gF, gG, gH = table.swapaxes(0, 1)
-        fv, gv = evaluate(F, x), evaluate(G, x)
-        bracket = lambda gA, gB: bracket_from_gradients(x.J, gA, gB)
-        worst_anti = max(worst_anti, abs(bracket(gF, gH) + bracket(gH, gF)))
+        bracket = lambda gA, gB: bracket_from_gradients(xs.J, gA, gB)
+        worst_anti = max((worst_anti, *abs(bracket(gF, gH) + bracket(gH, gF))))
 
         # products leave the word family; their bracket uses product-rule
         # gradients, which the finite-difference oracle validates on eval
-        lhs = product_bracket(x.J, fv, gv, gF, gG, gH)
+        fv3, gv3 = fv[:, None, None], gv[:, None, None]
+        lhs = product_bracket(xs.J, fv3, gv3, gF, gG, gH)
         rhs = fv * bracket(gG, gH) + gv * bracket(gF, gH)
-        worst_leibniz = max(worst_leibniz, abs(lhs - rhs))
-        fd = fd_chart(lambda y: evaluate(F, y) * evaluate(G, y), x, H_FD)
-        coords = basis_coordinates(ctx, product_gradients(fv, gv, gF, gG)).ravel()
-        worst_product_fd = max((worst_product_fd, *abs(fd - coords)))
+        worst_leibniz = max((worst_leibniz, *abs(lhs - rhs)))
+        coords = basis_coordinates(ctx, product_gradients(fv3, gv3, gF, gG).swapaxes(0, 1))
+        worst_product_fd = max((worst_product_fd, *abs(fd - coords.reshape(fd.shape)).ravel()))
 
         # {A, {B, C}} = -d({B, C}) along the Hamiltonian direction of A = obs[p], summed
-        # in order p; stencil p reads the pair (p + 1, p + 2) mod 3 of one kernel call
+        # in order p; stencil (p, s) reads the pair (p1, p2) of a kernel call on sample s's words
         def pair_brackets(y):
-            T = np.moveaxis(gradient_table(obs, y), 1, -3)
-            return bracket_from_gradients(y.J, T[:, :, p, (p + 1) % 3], T[:, :, p, (p + 2) % 3])
-        nested = fd_bracket_with(pair_brackets, hamiltonian_velocity(x.J, table), x, H_FD)
-        worst_jacobi = max(worst_jacobi, abs(sum(-nested)))
+            ys = zip(obs, np.moveaxis(y.g, 2, 0), np.moveaxis(y.J, 2, 0))
+            tables = [gradient_table(o, PhasePoint(g, J)) for o, g, J in ys]
+            T = np.moveaxis(np.stack(tables, axis=-3), 1, 3)  # (2, 4, 3, 3, S, n, n)
+            return bracket_from_gradients(y.J, T[:, :, p, p1], T[:, :, p, p2])
+        nested = fd_bracket_with(pair_brackets, hamiltonian_velocity(xs.J, table), xs, H_FD)
+        worst_jacobi = max((worst_jacobi, *abs(sum(-nested))))
     observed = {
         "max_antisymmetry_defect": worst_anti,
         "max_leibniz_defect": worst_leibniz,
@@ -299,11 +310,10 @@ def _check_reduced_ham_span(cfg: ExperimentConfig):
     violations = 0
     for xs in _phase_blocks(cfg, ctx, cfg.samples):
         flags = rd.classify(xs)
-        for i in np.flatnonzero(flags.principal & flags.regular_momentum):
-            span = rd.reduced_hamiltonian_span(PhasePoint(xs.g[i], xs.J[i]))
-            if flags.image_principal[i]:
-                spans.append(span)
-            violations += int(ctx.rank - span > flags.image_stabilizer_dim[i])
+        keep = flags.principal & flags.regular_momentum
+        span = rd.reduced_hamiltonian_span(PhasePoint(xs.g[keep], xs.J[keep]))
+        spans += span[flags.image_principal[keep]].tolist()
+        violations += int(np.count_nonzero(ctx.rank - span > flags.image_stabilizer_dim[keep]))
     observed = {
         "min_span": min(spans, default=-1),
         "max_span": max(spans, default=-1),
@@ -370,8 +380,8 @@ def _check_leaf_codim(cfg: ExperimentConfig):
     values = []
     for xs in _phase_blocks(cfg, ctx, cfg.samples):
         flags = rd.classify(xs)
-        for i in np.flatnonzero(flags.principal & flags.regular_moment):
-            values.append(rd.leaf_codim(PhasePoint(xs.g[i], xs.J[i])))
+        keep = flags.principal & flags.regular_moment
+        values += rd.leaf_codim(PhasePoint(xs.g[keep], xs.J[keep])).tolist()
     observed = {"min_codim": min(values, default=-1), "max_codim": max(values, default=-1)}
     expected = {
         "min_codim": _bound(
@@ -447,25 +457,21 @@ def _check_apposition(cfg: ExperimentConfig):
 
 def _check_moment_equation(cfg: ExperimentConfig):
     frame = ap.build_frame(cfg.n)
-    ctx = GroupContext(cfg.n)
-    worst_res = 0.0
+    u = frame.torus_basis[0]
+    worst_res = worst_kernel = worst_shift = 0.0
     isotropy_viol = 0
-    worst_kernel = 0.0
-    worst_shift = 0.0
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        g = ap.random_torus_group(frame, rng)
-        zeta = ap.random_partner_algebra(frame, rng)
-        J = ap.solve_moment_equation(g, zeta)
-        res = norm(J - g.conj().T @ J @ g - zeta)
-        worst_res = max(worst_res, res)
-        if joint_centralizer_dim([J], [g]) != 0:
-            isotropy_viol += 1
-        diag_part = np.linalg.norm(np.diag(np.diag(J)))
-        worst_kernel = max(worst_kernel, float(diag_part))
-        u = frame.torus_basis[0]
-        res_shift = norm((J + u) - g.conj().T @ (J + u) @ g - zeta)
-        worst_shift = max(worst_shift, abs(res_shift - res))
+    for rngs in _generator_blocks(cfg, cfg.samples):
+        # each generator draws its group element, then its partner element
+        g = np.array([ap.random_torus_group(frame, rng) for rng in rngs])
+        zeta = np.array([ap.random_partner_algebra(frame, rng) for rng in rngs])
+        J = np.array(list(map(ap.solve_moment_equation, g, zeta)))
+        ginv = g.conj().swapaxes(-1, -2)
+        res = norm(J - ginv @ J @ g - zeta)
+        res_shift = norm((J + u) - ginv @ (J + u) @ g - zeta)
+        worst_res = max((worst_res, *res))
+        worst_kernel = max((worst_kernel, *norm(J * np.eye(cfg.n))))
+        worst_shift = max((worst_shift, *abs(res_shift - res)))
+        isotropy_viol += int(np.count_nonzero(joint_centralizer_dim([J], [g])))
     observed = {
         "max_residual": worst_res,
         "isotropy_violations": isotropy_viol,
@@ -525,16 +531,12 @@ def _check_su2_exceptional(cfg: ExperimentConfig):
         stab_ok &= audit.image_stabilizer_dim == 1
         span_ok &= audit.projected_span == 0
         min_ok &= audit.min_attained_at_exceptional
-    off_viol = 0
-    for i in range(cfg.samples):
-        rng = sample_rng(cfg.seed, i)
-        q = float(rng.uniform(0.05, np.pi - 0.05))
-        p = float(rng.uniform(-2.0, 2.0))
-        if abs(q - su2.EXCEPTIONAL_Q) < 1e-3 and abs(p) < 1e-3:
-            continue
-        z = fm.constants_map(su2.slice_point(su2.SliceCoords(q, p, 1.0)))
-        if joint_centralizer_dim([z.X, z.Y], []) != 0:
-            off_viol += 1
+    rngs = (sample_rng(cfg.seed, i) for i in range(cfg.samples))
+    q, p = np.array([(r.uniform(0.05, np.pi - 0.05), r.uniform(-2.0, 2.0)) for r in rngs]).T
+    # the draws near the exceptional orbit are left out
+    off = (abs(q - su2.EXCEPTIONAL_Q) >= 1e-3) | (abs(p) >= 1e-3)
+    z = fm.constants_map(su2.slice_point(su2.SliceCoords(q[off], p[off], np.ones_like(q[off]))))
+    off_viol = int(np.count_nonzero(joint_centralizer_dim([z.X, z.Y], [])))
     observed = {
         "stabilizer_dim_is_one": int(stab_ok),
         "projected_span_is_zero": int(span_ok),

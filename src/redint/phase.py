@@ -116,17 +116,6 @@ def chart_basis(ctx: GroupContext):
     return np.concatenate([E, Z]), np.concatenate([Z, E])
 
 
-def fd_directional(F_value, x: PhasePoint, a, b, h: float):
-    """Central finite difference of a scalar- or array-valued point function
-    along the chart curve of each direction of the stacks ``(a, b)``.
-
-    ``F_value`` takes a stack of points; it is called once, on the
-    :func:`shift` of ``x`` by the steps ``[h, -h]``.
-    """
-    v = F_value(shift(x, a, b, [h, -h]))
-    return (v[0] - v[1]) / (2.0 * h)
-
-
 @lru_cache(maxsize=None)
 def _chart_steps(n: int, h: float):
     """``(exp(t a), t b)`` for the steps ``t = [h, -h]`` of :func:`shift` along the
@@ -139,8 +128,9 @@ def _chart_steps(n: int, h: float):
 
 
 def fd_chart(F_value, x: PhasePoint, h: float):
-    """:func:`fd_directional` along every :func:`chart_basis` direction, bit for
-    bit, from the steps cached per ``(n, h)``; ``F_value`` is called once."""
+    """Central difference of a (stacked) point function along every
+    :func:`chart_basis` direction, from the ``[h, -h]`` steps cached per
+    ``(n, h)``; ``F_value`` is called once, on the stack of shifted points."""
     G, B = _chart_steps(x.n, h)
     v = F_value(PhasePoint(G @ x.g, x.J + B))
     return (v[0] - v[1]) / (2.0 * h)
@@ -174,7 +164,8 @@ def fd_bracket_with(F_value, velocity, x: PhasePoint, h: float):
 
 def product_gradients(fv, gv, gradF, gradG):
     """Gradients ``(grad_left, grad_fiber)`` of the pointwise product ``F * G``
-    by the product rule, from the factor values and gradient pairs.
+    by the product rule, from the factor values and gradient pairs; at a
+    stack of points the values ``(S, 1, 1)`` broadcast over the pairs ``(2, S, n, n)``.
 
     The product of two trace observables is no longer a trace word, but its
     gradients are exact combinations of the factor gradients.
@@ -182,8 +173,9 @@ def product_gradients(fv, gv, gradF, gradG):
     return fv * np.asarray(gradG) + gv * np.asarray(gradF)
 
 
-def product_bracket(J, fv, gv, gradF, gradG, gradH) -> float:
-    """``{F * G, H}`` at fiber value ``J``, the product gradients fed through the bracket."""
+def product_bracket(J, fv, gv, gradF, gradG, gradH):
+    """``{F * G, H}`` at fiber value ``J`` (or a stack), the product gradients
+    fed through the bracket."""
     return bracket_from_gradients(J, product_gradients(fv, gv, gradF, gradG), gradH)
 
 

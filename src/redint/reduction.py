@@ -64,8 +64,8 @@ class StratumFlags:
     regular_momentum  the momentum J is a regular algebra element
     principal         the joint stabilizer of (g, J) is discrete, so the
                       point sits on a principal conjugation orbit
-    image_principal   the constants-map image has regular components and a
-                      discrete joint stabilizer
+    image_principal   the constants-map image has regular components (both
+                      have the spectrum of J) and a discrete joint stabilizer
     regular_moment    the moment-map value is regular
     image_stabilizer_dim  (not printed) the image's joint stabilizer dimension
     """
@@ -87,7 +87,7 @@ def classify(x: PhasePoint) -> StratumFlags:
     principal = joint_centralizer_dim([x.J], [x.g]) == 0
     z = constants_map(x)
     stab = joint_centralizer_dim([z.X, z.Y], [])
-    image_principal = principal & regular_momentum & is_regular(z.X) & (stab == 0)
+    image_principal = principal & regular_momentum & (stab == 0)
     regular_moment = is_regular(moment_map(x))
     return StratumFlags(regular_momentum, principal, image_principal, regular_moment, stab)
 
@@ -108,34 +108,32 @@ def chart_rows(ctx: GroupContext, a, b):
 def gauge_matrix(x: PhasePoint):
     """Chart rows of the conjugation-generated directions, one per basis
     element ``Y``: the curve ``act(e^{tY}, x)`` has right-trivialized
-    velocity ``(Y - Ad_g Y, [Y, J])``."""
-    B = basis_stack(x.context)
-    return chart_rows(x.context, B - x.g @ B @ x.g.conj().T, B @ x.J - x.J @ B)
+    velocity ``(Y - Ad_g Y, [Y, J])``. At a stack of points, ``(..., dim_g, 2 dim_g)``."""
+    B, g, J = basis_stack(x.context), x.g[..., None, :, :], x.J[..., None, :, :]
+    return chart_rows(x.context, B - g @ B @ g.conj().swapaxes(-1, -2), B @ J - J @ B)
 
 
 def hamiltonian_matrix(x: PhasePoint):
     """Chart rows of the commuting flows' velocities ``(X_i, 0)``, ``X_i``
-    spanning ker ad_J.
+    spanning ker ad_J; at a stack of points, ``(..., rank, 2 dim_g)``.
 
-    Requires a regular momentum so that the kernel has dimension ``rank``.
+    Requires a regular momentum at every point, so that each kernel has dimension ``rank``.
     """
-    ctx = x.context
-    kernel = centralizer_basis(x.J)
-    if len(kernel) != ctx.rank:
-        raise StructureError(
-            f"momentum is not regular: centralizer dimension {len(kernel)} != {ctx.rank}"
-        )
-    return chart_rows(ctx, kernel, np.zeros_like(kernel))
+    try:
+        kernel = centralizer_basis(x.J, x.context.rank)
+    except StructureError as exc:
+        raise StructureError(f"momentum is not regular: centralizer {exc}") from None
+    return chart_rows(x.context, kernel, np.zeros_like(kernel))
 
 
-def quotient_rank(V, W) -> int:
+def quotient_rank(V, W):
     """``rank([V; W]) - rank(W)``, the dimension of the span of the rows of
-    ``V`` projected along the gauge rows ``W``."""
-    return numerical_rank(np.vstack([V, W]), TAU_RANK)[0] - numerical_rank(W, TAU_RANK)[0]
+    ``V`` projected along the gauge rows ``W``; an int array over stacks."""
+    return numerical_rank(np.concatenate([V, W], -2), TAU_RANK)[0] - numerical_rank(W, TAU_RANK)[0]
 
 
-def reduced_hamiltonian_span(x: PhasePoint) -> int:
-    """Projected span of the commuting Hamiltonian fields at ``x``.
+def reduced_hamiltonian_span(x: PhasePoint):
+    """Projected span of the commuting Hamiltonian fields at ``x`` (or a stack).
 
     Equals ``rank`` on the stratum where the constants-map image has a
     discrete stabilizer; drops exactly where the image acquires continuous
@@ -227,17 +225,17 @@ def max_centrality_defect(x: PhasePoint, gens) -> float:
 
 
 def moment_casimir_matrix(x: PhasePoint):
-    """Chart rows of ``d(C_k o moment_map)`` at ``x``, one per ``k = 2..n``."""
+    """Chart rows of ``d(C_k o moment_map)``, one per ``k = 2..n``, at a point or a stack."""
     ctx = x.context
     mu = moment_map(x)
-    grads = np.array([casimir_gradient(k, mu) for k in range(2, ctx.n + 1)])
-    pushed = adjoint(x.g, grads)
-    rows = chart_rows(ctx, lie_bracket(pushed, x.J), grads - pushed)
-    rows[:, : ctx.dim_g] *= -1.0  # the group block is [J, Ad_g grad]
+    grads = np.stack([casimir_gradient(k, mu) for k in range(2, ctx.n + 1)], axis=-3)
+    pushed = adjoint(x.g[..., None, :, :], grads)
+    rows = chart_rows(ctx, lie_bracket(pushed, x.J[..., None, :, :]), grads - pushed)
+    rows[..., : ctx.dim_g] *= -1.0  # the group block is [J, Ad_g grad]
     return rows
 
 
-def leaf_codim(x: PhasePoint) -> int:
+def leaf_codim(x: PhasePoint):
     """Independence count of ``C_k o moment_map`` transverse to the gauge
     directions; expected ``rank`` where the moment value is regular.
 

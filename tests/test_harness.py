@@ -10,9 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from redint import apposition as ap
 from redint import free_motion as fm
 from redint import harness
 from redint import reduction as rd
+from redint import su2
 from redint import words as w
 from redint.cli import main as cli_main
 from redint.groups import (
@@ -21,6 +23,7 @@ from redint.groups import (
     basis_coordinates,
     inner,
     joint_centralizer_dim,
+    norm,
     lie_bracket,
     random_algebra,
     random_group,
@@ -45,11 +48,12 @@ from redint.phase import (
     bracket_from_gradients,
     chart_basis,
     evaluate,
-    fd_directional,
     gradients,
     poisson_bracket,
     shift,
 )
+
+from finite_differences import fd_directional
 
 FAST = ExperimentConfig(n=2, seed=7, samples=5, max_word_len=3)
 
@@ -79,6 +83,9 @@ def test_config_validation():
         {"t_max": float("nan")},
         {"t_max": True},
         {"t_max": "10"},
+        # an int or bool path would be taken as a file descriptor and closed
+        {"output_path": 2},
+        {"output_path": True},
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
@@ -226,6 +233,8 @@ def test_cli_config_errors(tmp_path, monkeypatch, capsys):
         {"t_max": float("nan")},
         {"t_max": True},
         {"t_max": "10"},
+        {"out": 2},
+        {"out": True},
     ):
         cfg.write_text(json.dumps(bad))
         assert cli_main(["dpsi-rank", "--config", str(cfg)]) == 2
@@ -409,8 +418,74 @@ def _reference_invariant_span_double(cfg):
     return observed
 
 
+# The per-sample loops of the two checks that now make one stacked
+# joint_centralizer_dim call per block (moment-equation) or per check
+# (su2-exceptional's off-point samples).
+
+
+def _reference_moment_equation_pairs(cfg):
+    frame = ap.build_frame(cfg.n)
+    for i in range(cfg.samples):
+        rng = sample_rng(cfg.seed, i)
+        g = ap.random_torus_group(frame, rng)
+        zeta = ap.random_partner_algebra(frame, rng)
+        yield frame, g, zeta, ap.solve_moment_equation(g, zeta)
+
+
+def _reference_moment_equation(cfg):
+    worst_res = worst_kernel = worst_shift = 0.0
+    isotropy_viol = 0
+    for frame, g, zeta, J in _reference_moment_equation_pairs(cfg):
+        res = norm(J - g.conj().T @ J @ g - zeta)
+        worst_res = max(worst_res, res)
+        if joint_centralizer_dim([J], [g]) != 0:
+            isotropy_viol += 1
+        diag_part = np.linalg.norm(np.diag(np.diag(J)))
+        worst_kernel = max(worst_kernel, float(diag_part))
+        u = frame.torus_basis[0]
+        res_shift = norm((J + u) - g.conj().T @ (J + u) @ g - zeta)
+        worst_shift = max(worst_shift, abs(res_shift - res))
+    return {
+        "max_residual": worst_res,
+        "isotropy_violations": isotropy_viol,
+        "max_kernel_component": worst_kernel,
+        "max_residual_change_under_kernel_shift": worst_shift,
+    }
+
+
+def _reference_off_point_images(cfg):
+    for i in range(cfg.samples):
+        rng = sample_rng(cfg.seed, i)
+        q = float(rng.uniform(0.05, np.pi - 0.05))
+        p = float(rng.uniform(-2.0, 2.0))
+        if abs(q - su2.EXCEPTIONAL_Q) < 1e-3 and abs(p) < 1e-3:
+            continue
+        yield fm.constants_map(su2.slice_point(su2.SliceCoords(q, p, 1.0)))
+
+
+def _reference_su2_exceptional(cfg):
+    stab_ok = span_ok = min_ok = True
+    for x_val in su2.X_GRID:
+        audit = su2.exceptional_point_audit(x_val)
+        stab_ok &= audit.image_stabilizer_dim == 1
+        span_ok &= audit.projected_span == 0
+        min_ok &= audit.min_attained_at_exceptional
+    off_viol = 0
+    for z in _reference_off_point_images(cfg):
+        if joint_centralizer_dim([z.X, z.Y], []) != 0:
+            off_viol += 1
+    return {
+        "stabilizer_dim_is_one": int(stab_ok),
+        "projected_span_is_zero": int(span_ok),
+        "grid_minimum_at_exceptional": int(min_ok),
+        "off_point_stabilizer_violations": off_viol,
+    }
+
+
 REFERENCE_CHECKS = {
     "flow-conservation": _reference_flow_conservation,
+    "moment-equation": _reference_moment_equation,
+    "su2-exceptional": _reference_su2_exceptional,
     "strata-census": _reference_strata_census,
     "reduced-ham-span": _reference_reduced_ham_span,
     "reduced-const-span": _reference_reduced_const_span,
@@ -423,7 +498,11 @@ BLOCK_CONFIGS = [
     ExperimentConfig(n=n, seed=seed, samples=samples)
     for seed in (1, 97)
     for n, samples in ((2, 50), (3, 50), (5, 20))
-] + [ExperimentConfig(n=3, seed=7, samples=2 * SAMPLE_BLOCK + 3)]
+] + [
+    ExperimentConfig(n=3, seed=7, samples=2 * SAMPLE_BLOCK + 3),
+    # ends in a block of one
+    ExperimentConfig(n=4, seed=11, samples=SAMPLE_BLOCK + 1),
+]
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CHECKS))
@@ -434,6 +513,27 @@ def test_block_stacked_checks_equal_the_per_sample_loops_byte_for_byte(name, cfg
     monkeypatch.setitem(CHECKS, name, lambda c: (REFERENCE_CHECKS[name](c), report.expected))
     reference = dataclasses.replace(run_check(name, cfg), wall_time_ms=0)
     assert report.to_json() == reference.to_json()
+
+
+def test_centralizer_calls_of_moment_equation_and_su2_exceptional_are_stacked(monkeypatch):
+    calls = []
+    jcd = harness.joint_centralizer_dim
+    monkeypatch.setattr(harness, "joint_centralizer_dim", lambda a, g: calls.append((a, g)) or jcd(a, g))
+    cfg = ExperimentConfig(n=3, seed=5, samples=2 * SAMPLE_BLOCK + 3)
+    run_check("moment-equation", cfg)
+    # one call per block, on the stacks of the per-sample solutions and group elements
+    assert [(len(a), len(g), a[0].shape) for a, g in calls] == [(1, 1, (k, 3, 3)) for k in (8, 8, 3)]
+    pairs = [(J, g) for _, g, _, J in _reference_moment_equation_pairs(cfg)]
+    for part, stack in enumerate(np.concatenate([[a[0], g[0]] for a, g in calls], axis=1)):
+        assert stack.tobytes() == np.array([pair[part] for pair in pairs]).tobytes()
+    calls.clear()
+    run_check("su2-exceptional", cfg)
+    # one call over the off-point samples, each image pair bit for bit
+    ((algebra, group),) = calls
+    images = list(_reference_off_point_images(cfg))
+    assert group == [] and len(images) == cfg.samples
+    for got, part in zip(algebra, ("X", "Y")):
+        assert got.tobytes() == np.array([getattr(z, part) for z in images]).tobytes()
 
 
 def test_phase_blocks_stack_the_sample_points_in_order():
@@ -562,13 +662,15 @@ BRACKET_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", BRACKET_CONFIGS, ids=lambda c: f"n{c.n}-seed{c.seed}-samples{c.samples}")
 def test_bracket_axioms_equals_the_per_bracket_check_byte_for_byte(cfg, monkeypatch):
-    # every nested Jacobi bracket, stencil by stencil, as well as the report
-    stacked, reference = [], []
+    # every nested Jacobi bracket, stencil by stencil, as well as the report;
+    # one stencil call per block returns the (3, S) brackets of its samples
+    stacked, reference, calls = [], [], []
     fd_bracket_with = harness.fd_bracket_with
 
     def recording(*args):
         values = fd_bracket_with(*args)
-        stacked.append(values.tolist())
+        calls.append(values.shape)
+        stacked.extend(values.T.tolist())
         return values
 
     monkeypatch.setattr(harness, "fd_bracket_with", recording)
@@ -577,6 +679,7 @@ def test_bracket_axioms_equals_the_per_bracket_check_byte_for_byte(cfg, monkeypa
     monkeypatch.setitem(CHECKS, "bracket-axioms", check)
     expected = dataclasses.replace(run_check("bracket-axioms", cfg), wall_time_ms=0)
     assert report.to_json() == expected.to_json()
+    assert calls == [(3, min(SAMPLE_BLOCK, cfg.samples - s)) for s in range(0, cfg.samples, SAMPLE_BLOCK)]
     assert len(stacked) == cfg.samples
     assert stacked == reference
 

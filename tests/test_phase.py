@@ -26,7 +26,6 @@ from redint.phase import (
     evaluate,
     fd_bracket_with,
     fd_chart,
-    fd_directional,
     fd_gradients,
     gradient_table,
     gradients,
@@ -49,6 +48,8 @@ from redint.words import (
     random_observable,
     word,
 )
+
+from finite_differences import fd_directional
 
 CTX2 = GroupContext(2)
 CTX3 = GroupContext(3)

@@ -15,13 +15,18 @@ from redint.free_motion import (
 )
 from redint.groups import (
     H_FD,
+    TAU_RANK,
     GroupContext,
     StructureError,
     adjoint,
     basis_coordinates,
+    basis_stack,
     centralizer_basis,
+    from_coordinates,
     lie_bracket,
     joint_centralizer_dim,
+    kernel_basis,
+    numerical_rank,
     orthonormal_basis,
     random_algebra,
     random_group,
@@ -31,7 +36,6 @@ from redint.phase import (
     act,
     bracket_from_gradients,
     chart_basis,
-    fd_directional,
     gradients,
     moment_map,
     random_phase_point,
@@ -58,6 +62,8 @@ from redint.reduction import (
 )
 from redint.su2 import EXCEPTIONAL_Q, SliceCoords, slice_point
 from redint.words import evaluate, observable, word
+
+from finite_differences import fd_directional
 
 CTX2 = GroupContext(2)
 CTX3 = GroupContext(3)
@@ -552,3 +558,130 @@ def test_stacked_certificates_equal_the_one_point_calls_bit_for_bit(n):
 def test_span_plateau_of_an_empty_stack_is_no_sweep():
     empty = np.zeros((0, 3, 3), dtype=complex)
     assert span_plateau(PhasePoint(empty, empty), 4) == []
+
+
+# --- certificate matrices and rank stages over stacks of points -------------
+# The one-point bodies these functions had before they took stacks, kept as
+# references: each entry of a stacked call equals its one-point body bit for bit.
+
+
+def _reference_kernel_basis(ctx, M):
+    _, s, vh = np.linalg.svd(M)
+    return list(from_coordinates(ctx, vh[s <= TAU_RANK * s[0]]))
+
+
+def _reference_centralizer_basis(J):
+    ctx = GroupContext(J.shape[0])
+    B = basis_stack(ctx)
+    return _reference_kernel_basis(ctx, basis_coordinates(ctx, J @ B - B @ J).T)
+
+
+def _reference_gauge_matrix(x):
+    B = basis_stack(x.context)
+    return chart_rows(x.context, B - x.g @ B @ x.g.conj().T, B @ x.J - x.J @ B)
+
+
+def _reference_hamiltonian_matrix(x):
+    kernel = _reference_centralizer_basis(x.J)
+    assert len(kernel) == x.context.rank
+    return chart_rows(x.context, kernel, np.zeros_like(kernel))
+
+
+def _reference_moment_casimir_matrix(x):
+    ctx = x.context
+    mu = moment_map(x)
+    grads = np.array([casimir_gradient(k, mu) for k in range(2, ctx.n + 1)])
+    pushed = adjoint(x.g, grads)
+    rows = chart_rows(ctx, lie_bracket(pushed, x.J), grads - pushed)
+    rows[:, : ctx.dim_g] *= -1.0
+    return rows
+
+
+def _reference_quotient_rank(V, W):
+    return numerical_rank(np.vstack([V, W]), TAU_RANK)[0] - numerical_rank(W, TAU_RANK)[0]
+
+
+STACKED_MATRICES = (
+    (gauge_matrix, _reference_gauge_matrix),
+    (hamiltonian_matrix, _reference_hamiltonian_matrix),
+    (moment_casimir_matrix, _reference_moment_casimir_matrix),
+    (lambda x: centralizer_basis(x.J), lambda x: np.array(_reference_centralizer_basis(x.J))),
+)
+
+
+def _stack(n, count, seed):
+    return random_phase_point(GroupContext(n), [np.random.default_rng((seed, i)) for i in range(count)])
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_certificate_matrices_equal_the_one_point_bodies_bit_for_bit(n, count):
+    xs = _stack(n, count, 170 + n)
+    points = list(map(PhasePoint, xs.g, xs.J))
+    for stacked, reference in STACKED_MATRICES:
+        want = [reference(x) for x in points]
+        got = stacked(xs)
+        assert got.shape == (count,) + want[0].shape and got.tobytes() == np.array(want).tobytes()
+        # a one-point call goes through the same stacked code
+        for x, one in zip(points, want):
+            assert stacked(x).shape == one.shape and stacked(x).tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_stacked_rank_stages_equal_the_one_point_ranks(n, count):
+    xs = _stack(n, count, 180 + n)
+    points = list(map(PhasePoint, xs.g, xs.J))
+    stages = (
+        (reduced_hamiltonian_span, _reference_hamiltonian_matrix),
+        (leaf_codim, _reference_moment_casimir_matrix),
+    )
+    for stage, rows in stages:
+        want = [_reference_quotient_rank(rows(x), _reference_gauge_matrix(x)) for x in points]
+        got = stage(xs)
+        assert got.shape == (count,) and got.dtype.kind == "i" and got.tolist() == want
+        assert [stage(x) for x in points] == want
+        assert all(type(stage(x)) is int for x in points)
+    V, W = hamiltonian_matrix(xs), gauge_matrix(xs)
+    want = [_reference_quotient_rank(v, w) for v, w in zip(V, W)]
+    assert quotient_rank(V, W).tolist() == want
+
+
+def test_stacked_rank_stages_on_an_empty_stack_give_empty_ranks():
+    for ctx in (CTX2, CTX3):
+        empty = PhasePoint(np.zeros((0, ctx.n, ctx.n), complex), np.zeros((0, ctx.n, ctx.n), complex))
+        assert gauge_matrix(empty).shape == (0, ctx.dim_g, 2 * ctx.dim_g)
+        assert hamiltonian_matrix(empty).shape == (0, ctx.rank, 2 * ctx.dim_g)
+        assert moment_casimir_matrix(empty).shape == (0, ctx.n - 1, 2 * ctx.dim_g)
+        for stage in (reduced_hamiltonian_span, leaf_codim):
+            ranks = stage(empty)
+            assert ranks.shape == (0,) and ranks.dtype.kind == "i"
+
+
+def test_hamiltonian_matrix_raises_when_one_momentum_of_a_stack_is_not_regular():
+    xs = _stack(3, 4, 190)
+    for i in (0, 2):
+        J = xs.J.copy()
+        J[i] = np.diag([1j, 1j, -2j])  # a repeated eigenvalue: centralizer of dimension 4
+        with pytest.raises(StructureError, match="not regular"):
+            hamiltonian_matrix(PhasePoint(xs.g, J))
+        with pytest.raises(StructureError, match="not regular"):
+            reduced_hamiltonian_span(PhasePoint(xs.g, J))
+    # every momentum irregular in the same way is no more regular
+    with pytest.raises(StructureError, match="not regular"):
+        hamiltonian_matrix(PhasePoint(xs.g, np.zeros_like(xs.J)))
+
+
+def test_kernel_basis_of_a_stack_needs_one_kernel_dimension():
+    ctx = CTX3
+    B = basis_stack(ctx)
+    J = np.array([np.diag([1j, 2j, -3j]), np.diag([1j, 1j, -2j])])[:, None]
+    M = basis_coordinates(ctx, J @ B - B @ J).swapaxes(-1, -2)
+    assert kernel_basis(ctx, M[:1]).shape == (1, ctx.rank, 3, 3)
+    assert kernel_basis(ctx, M[1:]).shape == (1, 4, 3, 3)
+    with pytest.raises(StructureError):
+        kernel_basis(ctx, M)
+    with pytest.raises(StructureError):
+        kernel_basis(ctx, M[:1], 4)
+    assert kernel_basis(ctx, M[:0]).shape == (0, 0, 3, 3)
+
