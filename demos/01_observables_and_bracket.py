@@ -21,7 +21,7 @@ print("holonomy = Re tr(G) + 0.25 Im tr(G J)     :", evaluate(holonomy, x))
 
 print("\n== exact gradients vs finite differences ==")
 for name, F in (("kinetic", kinetic), ("holonomy", holonomy)):
-    fd_left, fd_fiber = fd_gradients(F, x, 1e-5)
+    fd_left, fd_fiber = fd_gradients(F, x)
     left, fiber = gradients(F, x)
     dl = np.linalg.norm(left - fd_left)
     df = np.linalg.norm(fiber - fd_fiber)

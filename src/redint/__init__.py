@@ -52,7 +52,6 @@ from .phase import (
 )
 from .free_motion import (
     DoublePoint,
-    InvariantHamiltonian,
     casimir,
     casimir_gradient,
     casimir_value,
@@ -68,7 +67,6 @@ from .reduction import (
     classify,
     invariant_span_double,
     leaf_codim,
-    reduced_constants_span,
     reduced_hamiltonian_span,
     word_generators,
 )

@@ -55,12 +55,6 @@ def cyclic_shift(n: int):
     return C * P
 
 
-def diagonal_torus_basis(ctx: GroupContext):
-    """Orthonormal basis of the diagonal traceless anti-Hermitian matrices."""
-    basis = orthonormal_basis(ctx)
-    return list(basis[ctx.n * (ctx.n - 1):])
-
-
 @dataclass(frozen=True)
 class AppositionFrame:
     """The pair of orthogonal torus algebras for one matrix size.
@@ -81,12 +75,10 @@ def build_frame(n: int) -> AppositionFrame:
     ctx = GroupContext(n)
     lam = cyclic_shift(n)
     B = basis_stack(ctx)
-    partner = tuple(kernel_basis(ctx, basis_coordinates(ctx, lam @ B @ lam.conj().T - B).T))
-    if len(partner) != n - 1:
-        raise StructureError(
-            f"stabilizer algebra of the shift has dimension {len(partner)}, expected {n - 1}"
-        )
-    frame = AppositionFrame(n, lam, tuple(diagonal_torus_basis(ctx)), partner)
+    M = basis_coordinates(ctx, lam @ B @ lam.conj().T - B).T
+    partner = tuple(kernel_basis(ctx, M, n - 1))
+    # the last n - 1 basis elements are the diagonal ones
+    frame = AppositionFrame(n, lam, orthonormal_basis(ctx)[n * (n - 1) :], partner)
     residual = frame_orthogonality_residual(frame)
     if residual > 1e-12:
         raise StructureError(f"torus orthogonality residual {residual:.3e} exceeds 1e-12")

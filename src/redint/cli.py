@@ -101,14 +101,8 @@ def _merge_config(args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"REDINT_SEED is not an integer: {env_seed!r}") from exc
 
-    kwargs = {}
-    for key in ("n", "seed", "samples", "max_word_len", "t_max"):
-        if key in merged:
-            kwargs[key] = merged[key]
-    if "out" in merged:
-        kwargs["output_path"] = merged["out"]
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**merged)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -144,15 +138,15 @@ def main(argv=None) -> int:
 
         if args.command == "all":
             reports = run_all(cfg)
-            _write_output("\n".join(rep.to_json() for rep in reports), cfg.output_path)
+            _write_output("\n".join(rep.to_json() for rep in reports), cfg.out)
             sys.stderr.write(summarize(reports) + "\n")
             return EXIT_PASS if all(rep.passed for rep in reports) else EXIT_CHECK_FAILED
         if args.command == "plot":
             header, rows = emit_plot_data(args.plot_check, cfg)
-            _write_output("\n".join([header] + rows), cfg.output_path)
+            _write_output("\n".join([header] + rows), cfg.out)
             return EXIT_PASS
         report = run_check(args.command, cfg)
-        _write_output(report.to_json(), cfg.output_path)
+        _write_output(report.to_json(), cfg.out)
         return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import words as w
 from .groups import (
-    H_FD,
     TAU_RANK,
     ShapeError,
     group_exp,
@@ -54,24 +53,14 @@ class DoublePoint:
         return np.asarray(self.X).shape[-1]
 
 
-@dataclass(frozen=True)
-class InvariantHamiltonian:
-    """The degree-``k`` Casimir Hamiltonian ``(g, J) -> Re[i^k tr(J^k)]``."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("Casimir degree must be at least 2")
-
-    @property
-    def observable(self) -> w.Observable:
-        part, coeff = _CASIMIR_PART[self.k % 4]
-        return w.observable(w.word(("J",) * self.k, part=part, coeff=coeff))
-
-
-def casimir(k: int) -> InvariantHamiltonian:
-    return InvariantHamiltonian(k)
+def casimir(k: int, letter: str = "J") -> w.Observable:
+    """The degree-``k`` Casimir ``Re[i^k tr(W^k)]`` as a word in ``letter``:
+    the Hamiltonian ``(g, J) -> Re[i^k tr(J^k)]`` by default, or either slot
+    ``X``, ``Y`` of the double."""
+    if k < 2:
+        raise ValueError("Casimir degree must be at least 2")
+    part, coeff = _CASIMIR_PART[k % 4]
+    return w.observable(w.word((letter,) * k, part=part, coeff=coeff))
 
 
 def casimir_value(k: int, M):
@@ -82,24 +71,20 @@ def casimir_value(k: int, M):
     return float(v) if v.ndim == 0 else v
 
 
-def casimir_double(k: int, letter: str) -> w.Observable:
-    """The same Casimir as a word in one slot of the double."""
-    part, coeff = _CASIMIR_PART[k % 4]
-    return w.observable(w.word((letter,) * k, part=part, coeff=coeff))
-
-
 def casimir_gradient(k: int, J):
     """Gradient of the degree-``k`` Casimir, ``-k proj(i^k J^{k-1})``.
 
     The unique su(n) element with ``<A, grad> = d/dt C_k(J + tA)``; for
     ``k = 2`` it reduces to ``2 J``.
     """
+    if k < 2:
+        raise ValueError("Casimir degree must be at least 2")
     J = np.asarray(J)
     return -float(k) * project_algebra((1j**k) * np.linalg.matrix_power(J, k - 1))
 
 
-def free_flow(x: PhasePoint, H: InvariantHamiltonian, t) -> PhasePoint:
-    """Exact integral curve of the Casimir Hamiltonian through ``x``.
+def free_flow(x: PhasePoint, k: int, t) -> PhasePoint:
+    """Exact integral curve of the degree-``k`` Casimir Hamiltonian through ``x``.
 
     ``t`` is one time or an array of times; for an array the result is a
     stack of points whose group components, shape ``t.shape + (n, n)``, come
@@ -108,7 +93,7 @@ def free_flow(x: PhasePoint, H: InvariantHamiltonian, t) -> PhasePoint:
     (broadcast to the stack).
     """
     t = np.asarray(t, dtype=float)
-    X = t[..., None, None] * casimir_gradient(H.k, x.J)
+    X = t[..., None, None] * casimir_gradient(k, x.J)
     g = group_exp(X) @ x.g
     return PhasePoint(g, x.J if t.ndim == 0 else np.broadcast_to(x.J, g.shape))
 
@@ -126,12 +111,13 @@ def double_norm(z1: DoublePoint, z2: DoublePoint) -> float:
     )
 
 
-def flow_conservation_defect(x: PhasePoint, H: InvariantHamiltonian, t_grid) -> float:
-    """Max drift of the constants map along the exact flow over ``t_grid`` (a
-    column ``(T, 1)`` at a stack of points, the max over all), flowed in one
-    stacked call; the flow keeps ``J``, so only the first component can drift."""
+def flow_conservation_defect(x: PhasePoint, k: int, t_grid) -> float:
+    """Max drift of the constants map along the exact flow of the degree-``k``
+    Casimir over ``t_grid`` (a column ``(T, 1)`` at a stack of points, the max
+    over all), flowed in one stacked call; the flow keeps ``J``, so only the
+    first component can drift."""
     z0 = constants_map(x)
-    return max((0.0, *np.ravel(norm(constants_map(free_flow(x, H, t_grid)).X - z0.X))))
+    return max((0.0, *np.ravel(norm(constants_map(free_flow(x, k, t_grid)).X - z0.X))))
 
 
 def equivariance_defect(x: PhasePoint, eta) -> float:
@@ -193,14 +179,14 @@ def _flatten_double(z: DoublePoint):
     return np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
 
 
-def constants_map_jacobian(x: PhasePoint, h: float):
+def constants_map_jacobian(x: PhasePoint):
     """Jacobian of the constants map by central differences, all columns from
     one stacked stencil.
 
     Columns follow :func:`chart_basis`; rows flatten both components of
     the double into real coordinates.
     """
-    return np.ascontiguousarray(fd_chart(lambda y: _flatten_double(constants_map(y)), x, h).T)
+    return np.ascontiguousarray(fd_chart(lambda y: _flatten_double(constants_map(y)), x).T)
 
 
 def constants_map_differential(x: PhasePoint, a, b):
@@ -219,7 +205,7 @@ def constants_map_rank(x: PhasePoint):
 
     Returns ``(rank, singular_values)``.
     """
-    return numerical_rank(constants_map_jacobian(x, H_FD), TAU_RANK)
+    return numerical_rank(constants_map_jacobian(x), TAU_RANK)
 
 
 def casimir_difference(z: DoublePoint, k: int) -> float:

@@ -288,23 +288,23 @@ def numerical_rank(M, tau_rank: float):
     return (int(rank) if rank.ndim == 0 else rank), s
 
 
-def kernel_basis(ctx: GroupContext, M, dim=None):
+def kernel_basis(ctx: GroupContext, M, dim: int):
     """Algebra elements spanning the numerical kernel of the square matrix
-    ``M`` acting on :func:`basis_coordinates`, ``(k, n, n)``: the right singular
-    vectors with singular value at most ``TAU_RANK * sigma_max``, the last ``k``
-    as the singular values fall. Over a stack ``(..., d, d)``, ``(..., k, n, n)``
-    bit for bit; every kernel must have dimension ``dim`` (by default the
-    largest), else :class:`StructureError`."""
+    ``M`` acting on :func:`basis_coordinates`, ``(dim, n, n)``: the right
+    singular vectors with singular value at most ``TAU_RANK * sigma_max``, the
+    last ``dim`` as the singular values fall. Over a stack ``(..., d, d)``,
+    ``(..., dim, n, n)`` bit for bit; every kernel must have dimension ``dim``,
+    else :class:`StructureError`."""
     _, s, vh = np.linalg.svd(M)
     dims = np.count_nonzero(s <= TAU_RANK * s[..., :1], axis=-1)
-    dim = int(np.max(dims, initial=0)) if dim is None else dim
     if np.any(dims != dim):
         raise StructureError(f"kernel dimensions {np.unique(dims)} are not all {dim}")
     return from_coordinates(ctx, vh[..., vh.shape[-2] - dim :, :])
 
 
-def centralizer_basis(J, dim=None):
-    """Orthonormal basis of ker ``ad_J`` on su(n), per point of a stack ``(..., n, n)``."""
+def centralizer_basis(J, dim: int):
+    """Orthonormal basis of ker ``ad_J`` on su(n), per point of a stack
+    ``(..., n, n)``; every kernel must have dimension ``dim``."""
     J = _require_square(J, stack=True)[..., None, :, :]
     ctx = GroupContext(J.shape[-1])
     B = basis_stack(ctx)

@@ -117,32 +117,32 @@ def chart_basis(ctx: GroupContext):
 
 
 @lru_cache(maxsize=None)
-def _chart_steps(n: int, h: float):
-    """``(exp(t a), t b)`` for the steps ``t = [h, -h]`` of :func:`shift` along the
-    :func:`chart_basis` directions ``(a, b)``, read-only ``(2, 2 dim_g, n, n)``."""
+def _chart_steps(n: int):
+    """``(exp(t a), t b)`` for the steps ``t = [H_FD, -H_FD]`` of :func:`shift` along
+    the :func:`chart_basis` directions ``(a, b)``, read-only ``(2, 2 dim_g, n, n)``."""
     a, b = chart_basis(GroupContext(n))
-    t = np.array([h, -h])[:, None, None, None]
+    t = np.array([H_FD, -H_FD])[:, None, None, None]
     G, B = group_exp(t * a), t * b
     G.flags.writeable = B.flags.writeable = False
     return G, B
 
 
-def fd_chart(F_value, x: PhasePoint, h: float):
+def fd_chart(F_value, x: PhasePoint):
     """Central difference of a (stacked) point function along every
-    :func:`chart_basis` direction, from the ``[h, -h]`` steps cached per
-    ``(n, h)``; ``F_value`` is called once, on the stack of shifted points."""
-    G, B = _chart_steps(x.n, h)
+    :func:`chart_basis` direction, from the ``[H_FD, -H_FD]`` steps cached per
+    ``n``; ``F_value`` is called once, on the stack of shifted points."""
+    G, B = _chart_steps(x.n)
     v = F_value(PhasePoint(G @ x.g, x.J + B))
-    return (v[0] - v[1]) / (2.0 * h)
+    return (v[0] - v[1]) / (2.0 * H_FD)
 
 
-def fd_gradients(F: w.Observable, x: PhasePoint, h: float):
+def fd_gradients(F: w.Observable, x: PhasePoint):
     """Finite-difference oracle for :func:`gradients`, in the same order."""
-    d = fd_chart(lambda y: evaluate(F, y), x, h)
+    d = fd_chart(lambda y: evaluate(F, y), x)
     return tuple(from_coordinates(x.context, d.reshape(2, -1)))
 
 
-def fd_bracket_with(F_value, velocity, x: PhasePoint, h: float):
+def fd_bracket_with(F_value, velocity, x: PhasePoint):
     """Brackets ``{P, H}`` of a black-box function ``P`` with the observables
     whose Hamiltonian velocities ``(a, b)`` are stacks ``(k, n, n)``; a float
     for one velocity ``(n, n)``, and 0.0 for a direction of zero speed.
@@ -154,9 +154,9 @@ def fd_bracket_with(F_value, velocity, x: PhasePoint, h: float):
     """
     a, b = velocity
     speed = np.sqrt(inner(a, a) + inner(b, b))
-    # keep the chart step bounded in arc length; balances the fourth-order
+    # bound the chart step by 6e-4 in arc length; balances the fourth-order
     # truncation against the roundoff floor for fast directions
-    s = max(h, 6e-4) / np.maximum(speed, 1.0)
+    s = 6e-4 / np.maximum(speed, 1.0)
     f = F_value(shift(x, a, b, np.multiply.outer([1.0, -1.0, 2.0, -2.0], s)))
     d = np.where(speed == 0.0, 0.0, (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * s))
     return float(d) if d.ndim == 0 else d
@@ -203,11 +203,11 @@ def moment_observable(X) -> w.Observable:
     )
 
 
-def action_derivative(F: w.Observable, X, x: PhasePoint, h: float) -> float:
-    """Central difference of ``t -> F(act(e^{tX}, x))`` at ``t = 0``."""
-    plus = evaluate(F, act(group_exp(h * np.asarray(X)), x))
-    minus = evaluate(F, act(group_exp(-h * np.asarray(X)), x))
-    return (plus - minus) / (2.0 * h)
+def action_derivative(F: w.Observable, X, x: PhasePoint) -> float:
+    """Central difference of ``t -> F(act(e^{tX}, x))`` at ``t = 0``, step ``H_FD``."""
+    plus = evaluate(F, act(group_exp(H_FD * np.asarray(X)), x))
+    minus = evaluate(F, act(group_exp(-H_FD * np.asarray(X)), x))
+    return (plus - minus) / (2.0 * H_FD)
 
 
 def moment_generates_defect(F: w.Observable, X, x: PhasePoint) -> float:
@@ -220,7 +220,7 @@ def moment_generates_defect(F: w.Observable, X, x: PhasePoint) -> float:
     if not np.any(X):
         return abs(poisson_bracket(F, moment_observable(X), x))
     analytic = poisson_bracket(F, moment_observable(X), x)
-    numeric = action_derivative(F, X, x, H_FD)
+    numeric = action_derivative(F, X, x)
     return abs(analytic - numeric)
 
 

@@ -9,8 +9,8 @@ or differential, built by :func:`chart_rows`. The certificates are
 * ``classify``           stratum membership flags for a phase point,
 * ``reduced_hamiltonian_span``   dimension of the projected span of the
   commuting Hamiltonian vector fields (expected ``rank``),
-* ``reduced_constants_span``     dimension of the span of differentials of
-  pulled-back invariant words (expected ``dim_g - rank``),
+* ``span_plateau``       spans of the differentials of pulled-back invariant
+  words by word length (expected plateau ``dim_g - rank``),
 * ``centrality_defect``   bracket of a Casimir with a pulled-back invariant,
 * ``max_centrality_defect``  its largest value over Casimirs and generators,
 * ``leaf_codim``          independence count of the Casimirs of the moment
@@ -34,7 +34,7 @@ import numpy as np
 from . import words as w
 from .free_motion import (
     DoublePoint,
-    casimir_double,
+    casimir,
     casimir_gradient,
     constants_map,
     double_environment,
@@ -184,21 +184,13 @@ def pullback_differential_row(x: PhasePoint, gens):
     return chart_rows(x.context, lie_bracket(pushed, x.J[..., None, :, :]), pushed + gY)
 
 
-def reduced_constants_span(x: PhasePoint, gens) -> int:
-    """Rank of the stacked differentials of the pulled-back generators.
-
-    Invariant functions already annihilate the gauge distribution, so this
-    upstairs rank equals the span of the reduced differentials; it plateaus
-    at ``dim_g - rank`` once the generating set is rich enough.
-    """
-    return numerical_rank(pullback_differential_row(x, gens), TAU_RANK)[0]
-
-
 def span_plateau(x: PhasePoint, max_len: int):
-    """Sweep ``reduced_constants_span`` over word length; returns the list of
-    ranks for lengths ``1..max_len``, or at a stack of points ``(S, n, n)``
-    one such list per point. The generators of each length lead
-    ``word_generators(max_len)``, so each rank is taken on leading rows."""
+    """Ranks of the stacked differentials of the pulled-back generators for
+    word lengths ``1..max_len``, a list, or at a stack of points ``(S, n, n)``
+    one list per point. The generators of each length lead ``word_generators(max_len)``,
+    so each rank is taken on leading rows. Invariant functions annihilate the
+    gauge distribution, so each upstairs rank is the span of the reduced
+    differentials; it plateaus at ``dim_g - rank`` for rich enough generators."""
     gens = word_generators(max_len)
     lengths = [len(gen.words[0].letters) for gen in gens]
     D = pullback_differential_row(x, gens)
@@ -210,14 +202,14 @@ def span_plateau(x: PhasePoint, max_len: int):
 def centrality_defect(x: PhasePoint, k: int, gen: w.Observable) -> float:
     """``|{C_k(J), P o constants_map}(x)|``; the Casimirs are central among
     the pulled-back constants of motion."""
-    ck = pullback(casimir_double(k, "Y"))
+    ck = pullback(casimir(k, "Y"))
     return abs(poisson_bracket(ck, pullback(gen), x))
 
 
 def max_centrality_defect(x: PhasePoint, gens) -> float:
     """Largest :func:`centrality_defect` over ``k = 2..n`` and ``gens``, in the
     same arithmetic: one kernel call and one broadcast bracket over the pairs."""
-    casimirs = [casimir_double(k, "Y") for k in range(2, x.n + 1)]
+    casimirs = [casimir(k, "Y") for k in range(2, x.n + 1)]
     left, fiber = gradient_table([pullback(f) for f in (*gens, *casimirs)], x)
     m = len(gens)
     d = bracket_from_gradients(x.J, (left[m:, None], fiber[m:, None]), (left[:m], fiber[:m]))

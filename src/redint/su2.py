@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free_motion import casimir, constants_map, free_flow
+from .free_motion import constants_map, free_flow
 from .groups import TAU_EIG, joint_centralizer_dim
 from .phase import PhasePoint
 from .reduction import reduced_hamiltonian_span
@@ -72,10 +72,10 @@ def slice_grid(x_val: float) -> SliceCoords:
     return SliceCoords(q, p, np.full(q.shape, x_val))
 
 
-def slice_point(c: SliceCoords) -> PhasePoint:
-    """The slice representative with moment value ``i x (E12 + E21)``; for
-    array coordinates a stack of shape ``q.shape + (2, 2)``."""
-    q, p, x = np.asarray(c.q), np.asarray(c.p), np.asarray(c.x)
+def _slice_matrices(q, p, x):
+    """The closed form ``(g, J)`` of the slice point at ``(q, p, x)``, shape
+    ``q.shape + (2, 2)`` each, for any coordinates: no :class:`SliceCoords` checks."""
+    q, p, x = np.asarray(q), np.asarray(p), np.asarray(x)
     g = np.zeros(q.shape + (2, 2), dtype=complex)
     g[..., 0, 0] = np.exp(1j * q)
     g[..., 1, 1] = np.exp(-1j * q)
@@ -84,7 +84,13 @@ def slice_point(c: SliceCoords) -> PhasePoint:
     J[..., 0, 1] = 1j * x / (1.0 - np.exp(-2j * q))
     J[..., 1, 0] = 1j * x / (1.0 - np.exp(2j * q))
     J[..., 1, 1] = -1j * p
-    return PhasePoint(g, J)
+    return g, J
+
+
+def slice_point(c: SliceCoords) -> PhasePoint:
+    """The slice representative with moment value ``i x (E12 + E21)``; for
+    array coordinates a stack of shape ``q.shape + (2, 2)``."""
+    return PhasePoint(*_slice_matrices(c.q, c.p, c.x))
 
 
 def slice_moment_value(x):
@@ -197,17 +203,12 @@ def regauge_stack(y: PhasePoint):
         tau[:, 1, 1] = np.exp(-1j * theta)
         eta = tau @ eta
         moved_J = eta @ J @ _dagger(eta)
-        p = moved_J[:, 0, 0].imag.copy()
-        # distance to the slice point at (q, p, x), in the closed form of slice_point
-        moved_g = eta @ g @ _dagger(eta)
-        moved_J[:, 0, 0] -= 1j * p
-        moved_J[:, 0, 1] -= 1j * x / (1.0 - np.exp(-2j * q))
-        moved_J[:, 1, 0] -= 1j * x / (1.0 - np.exp(2j * q))
-        moved_J[:, 1, 1] -= -1j * p
-        moved_g[:, 0, 0] -= np.exp(1j * q)
-        moved_g[:, 1, 1] -= np.exp(-1j * q)
+        p = moved_J[:, 0, 0].imag.copy()  # a view would keep moved_J alive
+        # distance to the slice point at (q, p, x)
+        slice_g, slice_J = _slice_matrices(q, p, x)
         residual = np.maximum(
-            np.linalg.norm(moved_g, axis=(-2, -1)), np.linalg.norm(moved_J, axis=(-2, -1))
+            np.linalg.norm(eta @ g @ _dagger(eta) - slice_g, axis=(-2, -1)),
+            np.linalg.norm(moved_J - slice_J, axis=(-2, -1)),
         )
         failure = np.select(
             [
@@ -275,7 +276,7 @@ def calibrate_time_scale(x_val: float) -> float:
     """
     h = 1e-6
     probe = SliceCoords(np.pi / 3.0, 1.0, x_val)
-    y = free_flow(slice_point(probe), casimir(2), [h, -h])
+    y = free_flow(slice_point(probe), 2, [h, -h])
     qp, qm = (regauge_to_slice(PhasePoint(g, J)).q for g, J in zip(y.g, y.J))
     return float((qp - qm) / (2.0 * h) / probe.p)
 
@@ -322,7 +323,7 @@ def reduced_dynamics_match(
     idx = np.arange(0, steps + 1, max(1, steps // 1000))
     if idx[-1] != steps:
         idx = np.append(idx, steps)
-    flowed = free_flow(slice_point(c0), casimir(2), t_arr[idx] / scale)
+    flowed = free_flow(slice_point(c0), 2, t_arr[idx] / scale)
     q, p, _, failures = regauge_stack(flowed)
     stop = min(failures, default=len(idx))
     idx, q, p = idx[:stop], q[:stop], p[:stop]

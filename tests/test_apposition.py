@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from redint import apposition
 from redint.apposition import (
     AppositionFrame,
     MomentSolveError,
@@ -59,11 +60,21 @@ def test_frame_invariants(n):
     assert len(frame.partner_basis) == n - 1
     assert frame_orthogonality_residual(frame) <= 1e-12
     assert stacked_torus_rank(frame) == 2 * (n - 1)
+    # the torus basis is diagonal
+    assert all(np.array_equal(u, np.diag(np.diag(u))) for u in frame.torus_basis)
     # partner basis is orthonormal and commutes with the shift
     for i, u in enumerate(frame.partner_basis):
         assert np.linalg.norm(frame.shift @ u - u @ frame.shift) < 1e-10
         for j, v in enumerate(frame.partner_basis):
             assert inner(u, v) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_rejects_a_shift_whose_stabilizer_has_the_wrong_dimension(n, monkeypatch):
+    # the identity commutes with all of su(n), not with an (n-1)-torus
+    monkeypatch.setattr(apposition, "cyclic_shift", lambda n: np.eye(n, dtype=complex))
+    with pytest.raises(StructureError, match=f"not all {n - 1}"):
+        build_frame(n)
 
 
 def _reference_frame_orthogonality_residual(frame):

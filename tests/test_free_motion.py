@@ -7,7 +7,6 @@ from redint.free_motion import (
     DoublePoint,
     casimir,
     casimir_difference,
-    casimir_double,
     casimir_gradient,
     casimir_value,
     constants_map,
@@ -51,7 +50,7 @@ def test_casimir_values_and_reality():
         J3 = random_algebra(CTX3, rng)
         v = casimir_value(k, J3)
         assert np.isfinite(v)
-        assert evaluate_double(casimir_double(k, "Y"), DoublePoint(J3, J3)) == pytest.approx(v)
+        assert evaluate_double(casimir(k, "Y"), DoublePoint(J3, J3)) == pytest.approx(v)
 
 
 def test_casimir_is_conjugation_invariant():
@@ -88,21 +87,27 @@ def test_casimir_gradient_matches_finite_differences():
                 assert abs(fd - inner(e, grad)) < TAU_FD
 
 
+def test_casimir_degree_is_at_least_two():
+    x = random_phase_point(CTX2, 4)
+    for call in (lambda: casimir(1), lambda: casimir_gradient(1, x.J), lambda: free_flow(x, 1, 0.5)):
+        with pytest.raises(ValueError, match="degree"):
+            call()
+
+
 def test_flow_examples():
     rng = np.random.default_rng(5)
     x = random_phase_point(CTX2, rng)
-    H = casimir(2)
-    still = free_flow(x, H, 0.0)
+    still = free_flow(x, 2, 0.0)
     assert np.allclose(still.g, x.g)
     assert still.J is x.J  # momentum is bit-identical along the flow
 
-    a = free_flow(free_flow(x, H, 0.4), H, 0.6)
-    b = free_flow(x, H, 1.0)
+    a = free_flow(free_flow(x, 2, 0.4), 2, 0.6)
+    b = free_flow(x, 2, 1.0)
     assert np.linalg.norm(a.g - b.g) < 1e-10
 
     x0 = PhasePoint(np.eye(2, dtype=complex), np.diag([1j, -1j]))
     t = 0.8
-    moved = free_flow(x0, H, t)
+    moved = free_flow(x0, 2, t)
     assert np.allclose(moved.g, np.diag([np.exp(2j * t), np.exp(-2j * t)]))
 
 
@@ -122,25 +127,25 @@ def test_flow_conservation(ctx, k):
     t_grid = np.arange(0.0, 10.0 + 1e-9, 0.5)
     for _ in range(5):
         x = random_phase_point(ctx, rng)
-        assert flow_conservation_defect(x, casimir(k), t_grid) <= TAU_CONS
+        assert flow_conservation_defect(x, k, t_grid) <= TAU_CONS
 
 
-def _reference_flow_conservation_defect(x, H, t_grid):
+def _reference_flow_conservation_defect(x, k, t_grid):
     """The per-time loop that ``flow_conservation_defect`` ran before it
     flowed the whole grid in one call."""
     z0 = constants_map(x)
     worst = 0.0
     for t in t_grid:
-        worst = max(worst, double_norm(constants_map(free_flow(x, H, float(t))), z0))
+        worst = max(worst, double_norm(constants_map(free_flow(x, k, float(t))), z0))
     return worst
 
 
-def _reference_stacked_flow_conservation_defect(x, H, t_grid):
+def _reference_stacked_flow_conservation_defect(x, k, t_grid):
     """The loop over the flowed stack, one ``double_norm`` per time, that ran
     before the drift became one stacked norm."""
     z0 = constants_map(x)
     worst = 0.0
-    for X in constants_map(free_flow(x, H, t_grid)).X:
+    for X in constants_map(free_flow(x, k, t_grid)).X:
         worst = max(worst, double_norm(DoublePoint(X, x.J), z0))
     return worst
 
@@ -151,17 +156,16 @@ def test_flow_over_a_time_grid_equals_each_time_alone_bit_for_bit(ctx):
     t_grid = np.arange(0.0, 10.0 + 1e-12, 0.5)
     for k in range(2, ctx.n + 1):
         x = random_phase_point(ctx, rng)
-        H = casimir(k)
-        flowed = free_flow(x, H, t_grid)
+        flowed = free_flow(x, k, t_grid)
         assert flowed.g.shape == (len(t_grid), ctx.n, ctx.n)
         assert np.array_equal(flowed.J, np.broadcast_to(x.J, flowed.g.shape))
         for t, g in zip(t_grid, flowed.g):
-            assert np.array_equal(g, free_flow(x, H, float(t)).g)
+            assert np.array_equal(g, free_flow(x, k, float(t)).g)
             assert np.array_equal(g, group_exp(float(t) * casimir_gradient(k, x.J)) @ x.g)
-        drift = flow_conservation_defect(x, H, t_grid)
-        assert drift == _reference_flow_conservation_defect(x, H, t_grid)
-        assert drift == _reference_stacked_flow_conservation_defect(x, H, t_grid)
-    assert flow_conservation_defect(x, H, []) == 0.0
+        drift = flow_conservation_defect(x, k, t_grid)
+        assert drift == _reference_flow_conservation_defect(x, k, t_grid)
+        assert drift == _reference_stacked_flow_conservation_defect(x, k, t_grid)
+    assert flow_conservation_defect(x, k, []) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -172,8 +176,8 @@ def test_stacked_flow_conservation_defect_is_the_largest_one_point_drift(n):
     xs = PhasePoint(np.array([x.g for x in points]), np.array([x.J for x in points]))
     t_grid = np.arange(0.0, 10.0 + 1e-12, 0.5)
     for k in range(2, n + 1):
-        drift = flow_conservation_defect(xs, casimir(k), t_grid[:, None])
-        worst = max(flow_conservation_defect(x, casimir(k), t_grid) for x in points)
+        drift = flow_conservation_defect(xs, k, t_grid[:, None])
+        worst = max(flow_conservation_defect(x, k, t_grid) for x in points)
         assert drift.hex() == worst.hex()
 
 
@@ -243,7 +247,7 @@ def test_constants_map_rank():
 def test_constants_map_jacobian_matches_analytic_differential():
     rng = np.random.default_rng(13)
     x = random_phase_point(CTX3, rng)
-    M = constants_map_jacobian(x, H_FD)
+    M = constants_map_jacobian(x)
     for col, (a, b) in enumerate(zip(*chart_basis(CTX3))):
         dX, dY = constants_map_differential(x, a, b)
         exact = np.concatenate(
@@ -276,7 +280,7 @@ def test_stacked_jacobian_equals_the_column_loop_bit_for_bit(ctx):
     rng = np.random.default_rng(17)
     for _ in range(4):
         x = random_phase_point(ctx, rng)
-        M = constants_map_jacobian(x, H_FD)
+        M = constants_map_jacobian(x)
         assert M.shape == (4 * ctx.n * ctx.n, 2 * ctx.dim_g)
         assert M.flags.c_contiguous
         assert np.array_equal(M, _reference_constants_map_jacobian(x, H_FD))
@@ -318,16 +322,15 @@ def test_casimir_difference_checks():
 def test_hamiltonians_sit_inside_the_constants_ring_as_words():
     # C_k(J) arises from the second-slot word through the substitution
     for k in (2, 3, 4, 5):
-        assert pullback(casimir_double(k, "Y")) == casimir(k).observable
+        assert pullback(casimir(k, "Y")) == casimir(k)
 
 
 def test_free_flow_group_property_statistics():
     rng = np.random.default_rng(15)
     for _ in range(10):
         x = random_phase_point(CTX3, rng)
-        H = casimir(3)
         s, t = rng.uniform(-2, 2, size=2)
-        a = free_flow(free_flow(x, H, s), H, t)
-        b = free_flow(x, H, s + t)
+        a = free_flow(free_flow(x, 3, s), 3, t)
+        b = free_flow(x, 3, s + t)
         assert np.linalg.norm(a.g - b.g) < 1e-10
         assert np.linalg.norm(a.J - b.J) == 0.0

@@ -210,12 +210,12 @@ def test_centralizer_dim_is_conjugation_invariant():
 
 
 def test_centralizer_basis_spans_kernel():
-    kernel = centralizer_basis(DIAG2)
+    kernel = centralizer_basis(DIAG2, 1)
     assert len(kernel) == 1
     assert np.linalg.norm(lie_bracket(kernel[0], DIAG2)) < 1e-10
     assert inner(kernel[0], kernel[0]) == pytest.approx(1.0)
     # all singular values vanish for J = 0: the whole algebra is the kernel
-    assert len(centralizer_basis(np.zeros((2, 2)))) == 3
+    assert len(centralizer_basis(np.zeros((2, 2)), 3)) == 3
 
 
 def test_joint_centralizer_examples():

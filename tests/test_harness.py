@@ -84,8 +84,8 @@ def test_config_validation():
         {"t_max": True},
         {"t_max": "10"},
         # an int or bool path would be taken as a file descriptor and closed
-        {"output_path": 2},
-        {"output_path": True},
+        {"out": 2},
+        {"out": True},
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
@@ -322,7 +322,7 @@ def _reference_flow_conservation(cfg):
     worst = 0.0
     for _, x in _reference_sample_points(cfg, ctx, cfg.samples):
         for k in range(2, ctx.n + 1):
-            worst = max(worst, fm.flow_conservation_defect(x, fm.casimir(k), t_grid))
+            worst = max(worst, fm.flow_conservation_defect(x, k, t_grid))
     return {"max_drift": worst}
 
 
@@ -383,7 +383,7 @@ def _reference_centrality(cfg):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(min(cfg.max_word_len, 4))
     worst = 0.0
-    for _, x in _reference_sample_points(cfg, ctx, min(cfg.samples, 50)):
+    for _, x in _reference_sample_points(cfg, ctx, cfg.samples):
         worst = max(worst, rd.max_centrality_defect(x, gens))
     return {"max_defect": worst}
 
@@ -582,6 +582,15 @@ def test_samples_are_drawn_one_block_at_a_time_through_random_phase_point(monkey
     sizes.clear()
     run_check("strata-census", dataclasses.replace(cfg, samples=SAMPLE_BLOCK + 1))
     assert sizes == [SAMPLE_BLOCK, 1]
+
+
+def test_centrality_certifies_every_sample_it_reports(monkeypatch):
+    # the sample count in the report is the number of points certified
+    sizes = []
+    draw = harness.random_phase_point
+    monkeypatch.setattr(harness, "random_phase_point", lambda ctx, seed: sizes.append(len(seed)) or draw(ctx, seed))
+    report = run_check("centrality", ExperimentConfig(n=2, seed=1, samples=60))
+    assert sum(sizes) == report.samples == 60
 
 
 def test_reduced_const_span_memory_does_not_grow_with_samples():

@@ -89,7 +89,7 @@ def test_left_gradient_examples():
     assert np.allclose(gradients(only_j, x)[0], 0.0)
     trace_g = observable(word(("G",)))
     assert np.linalg.norm(gradients(trace_g, x)[0]) < 1e-14
-    assert np.linalg.norm(fd_gradients(trace_g, x, H_FD)[0]) < 1e-9
+    assert np.linalg.norm(fd_gradients(trace_g, x)[0]) < 1e-9
 
 
 def test_fiber_gradient_examples():
@@ -109,7 +109,7 @@ def test_gradients_match_finite_differences(ctx):
     for _ in range(8):
         x = random_phase_point(ctx, rng)
         F = random_observable(rng, ("G", "Ginv", "J"), max_len=4)
-        fd_left, fd_fiber = fd_gradients(F, x, H_FD)
+        fd_left, fd_fiber = fd_gradients(F, x)
         left, fiber = gradients(F, x)
         assert np.linalg.norm(left - fd_left) < TAU_FD
         assert np.linalg.norm(fiber - fd_fiber) < TAU_FD
@@ -206,7 +206,7 @@ def test_jacobi_identity_sampled():
             total = 0.0
             for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
                 velocity = hamiltonian_velocity(x.J, gradients(A, x))
-                total += -fd_bracket_with(lambda y: poisson_bracket(B, C, y), velocity, x, H_FD)
+                total += -fd_bracket_with(lambda y: poisson_bracket(B, C, y), velocity, x)
             worst = max(worst, abs(total))
         assert worst <= 1e-6
 
@@ -351,7 +351,7 @@ def test_stacked_stencil_equals_the_per_direction_stencil_bit_for_bit(n):
             got = fd_directional(F_value, x, A, B, H_FD)
             want = [_reference_fd_directional(F_value, x, a, b, H_FD) for a, b in zip(A, B)]
             assert np.array_equal(got, np.array(want))
-        for got, want in zip(fd_gradients(F, x, H_FD), _reference_fd_gradients(F, x, H_FD)):
+        for got, want in zip(fd_gradients(F, x), _reference_fd_gradients(F, x, H_FD)):
             assert np.array_equal(got, want)
 
 
@@ -368,13 +368,13 @@ def test_fd_bracket_with_equals_the_four_shift_stencil_bit_for_bit(ctx):
             calls = []
             velocity = hamiltonian_velocity(x.J, gradients(H, x))
             counted = lambda y: calls.append(y.g.shape) or F_value(y)
-            got = fd_bracket_with(counted, velocity, x, H_FD)
+            got = fd_bracket_with(counted, velocity, x)
             assert calls == [(4, ctx.n, ctx.n)]
             assert type(got) is float
             assert got == _reference_fd_bracket_with(F_value, H, x, H_FD)
     still = PhasePoint(random_group(ctx, rng), np.zeros((ctx.n, ctx.n), dtype=complex))
     velocity = hamiltonian_velocity(still.J, gradients(Observable(()), still))
-    assert fd_bracket_with(lambda y: evaluate(F, y), velocity, still, H_FD) == 0.0
+    assert fd_bracket_with(lambda y: evaluate(F, y), velocity, still) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -393,7 +393,7 @@ def test_fd_bracket_with_on_a_velocity_stack_equals_one_call_per_direction_bit_f
         ):
             calls = []
             counted = lambda y: calls.append(y.g.shape) or F_value(y)
-            got = fd_bracket_with(counted, velocity, x, H_FD)
+            got = fd_bracket_with(counted, velocity, x)
             assert calls == [(4, 3, n, n)]
             want = [_reference_fd_bracket_with(F_value, A, x, H_FD) for A in directions]
             assert got.tolist() == want
@@ -513,18 +513,17 @@ def test_fd_chart_equals_the_chart_basis_stencil_bit_for_bit(n):
         x = random_phase_point(ctx, rng)
         F, G = (random_observable(rng, ("G", "Ginv", "J"), max_len=4) for _ in range(2))
         for F_value in (lambda y: evaluate(F, y) * evaluate(G, y), moment_map, _flat_constants_map):
-            got = fd_chart(F_value, x, H_FD)
+            got = fd_chart(F_value, x)
             want = fd_directional(F_value, x, *chart_basis(ctx), H_FD)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        for got, want in zip(fd_gradients(F, x, H_FD), _reference_chart_fd_gradients(F, x, H_FD)):
+        for got, want in zip(fd_gradients(F, x), _reference_chart_fd_gradients(F, x, H_FD)):
             assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_chart_steps_are_built_once_per_size_and_step_and_read_only(n):
-    G, B = _chart_steps(n, H_FD)
-    assert _chart_steps(n, H_FD)[0] is G
-    assert _chart_steps(n, 2 * H_FD)[0] is not G
+def test_chart_steps_are_built_once_per_size_and_read_only(n):
+    G, B = _chart_steps(n)
+    assert _chart_steps(n)[0] is G
     dim = GroupContext(n).dim_g
     assert G.shape == B.shape == (2, 2 * dim, n, n)
     for steps in (G, B):

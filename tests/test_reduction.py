@@ -6,7 +6,7 @@ import pytest
 from redint.apposition import build_frame, random_partner_algebra, random_torus_group, solve_moment_equation
 from redint.free_motion import (
     DoublePoint,
-    casimir_double,
+    casimir,
     casimir_gradient,
     casimir_value,
     constants_map,
@@ -55,7 +55,6 @@ from redint.reduction import (
     moment_casimir_matrix,
     pullback_differential_row,
     quotient_rank,
-    reduced_constants_span,
     reduced_hamiltonian_span,
     span_plateau,
     word_generators,
@@ -167,7 +166,7 @@ def test_hamiltonian_directions_are_ad_covariant_as_subspaces():
     x = random_phase_point(CTX3, rng)
     eta = random_group(CTX3, rng)
     moved = hamiltonian_matrix(act(eta, x))
-    kernel = adjoint(eta, np.array(centralizer_basis(x.J)))
+    kernel = adjoint(eta, np.array(centralizer_basis(x.J, CTX3.rank)))
     conj = chart_rows(CTX3, kernel, np.zeros_like(kernel))
     Q1, _ = np.linalg.qr(moved.T)
     Q2, _ = np.linalg.qr(conj.T)
@@ -233,7 +232,10 @@ def test_span_plateau_equals_the_per_length_spans(ctx, max_len):
     rng = np.random.default_rng(60)
     for _ in range(3):
         x = random_phase_point(ctx, rng)
-        per_length = [reduced_constants_span(x, word_generators(k)) for k in range(1, max_len + 1)]
+        per_length = [
+            numerical_rank(pullback_differential_row(x, word_generators(k)), TAU_RANK)[0]
+            for k in range(1, max_len + 1)
+        ]
         assert span_plateau(x, max_len) == per_length
 
 
@@ -300,7 +302,7 @@ def _reference_gauge_directions(x):
 
 def _reference_hamiltonian_rows(x):
     zero = np.zeros((x.n, x.n), dtype=complex)
-    return np.array([_tangent_coordinates(x.context, X, zero) for X in centralizer_basis(x.J)])
+    return np.array([_tangent_coordinates(x.context, X, zero) for X in centralizer_basis(x.J, x.context.rank)])
 
 
 def _reference_moment_casimir_row(x, k):
@@ -327,7 +329,7 @@ def _reference_max_centrality_defect(x, gens):
     grads = [gradients(pullback(gen), x) for gen in gens]
     worst = 0.0
     for k in range(2, x.n + 1):
-        ck = gradients(pullback(casimir_double(k, "Y")), x)
+        ck = gradients(pullback(casimir(k, "Y")), x)
         for gh in grads:
             worst = max(worst, abs(bracket_from_gradients(x.J, ck, gh)))
     return worst
@@ -515,7 +517,7 @@ def test_quotient_rank_against_plain_rank_for_invariant_rows():
     gens = word_generators(3)
     D = pullback_differential_row(x, gens)
     plain = np.linalg.matrix_rank(D, tol=1e-8)
-    assert reduced_constants_span(x, gens) == plain
+    assert numerical_rank(pullback_differential_row(x, gens), TAU_RANK)[0] == plain
 
 
 def _stack_points(points):
@@ -605,7 +607,7 @@ STACKED_MATRICES = (
     (gauge_matrix, _reference_gauge_matrix),
     (hamiltonian_matrix, _reference_hamiltonian_matrix),
     (moment_casimir_matrix, _reference_moment_casimir_matrix),
-    (lambda x: centralizer_basis(x.J), lambda x: np.array(_reference_centralizer_basis(x.J))),
+    (lambda x: centralizer_basis(x.J, x.context.rank), lambda x: np.array(_reference_centralizer_basis(x.J))),
 )
 
 
@@ -677,11 +679,12 @@ def test_kernel_basis_of_a_stack_needs_one_kernel_dimension():
     B = basis_stack(ctx)
     J = np.array([np.diag([1j, 2j, -3j]), np.diag([1j, 1j, -2j])])[:, None]
     M = basis_coordinates(ctx, J @ B - B @ J).swapaxes(-1, -2)
-    assert kernel_basis(ctx, M[:1]).shape == (1, ctx.rank, 3, 3)
-    assert kernel_basis(ctx, M[1:]).shape == (1, 4, 3, 3)
-    with pytest.raises(StructureError):
-        kernel_basis(ctx, M)
+    assert kernel_basis(ctx, M[:1], ctx.rank).shape == (1, ctx.rank, 3, 3)
+    assert kernel_basis(ctx, M[1:], 4).shape == (1, 4, 3, 3)
+    for dim in (ctx.rank, 4):
+        with pytest.raises(StructureError):
+            kernel_basis(ctx, M, dim)
     with pytest.raises(StructureError):
         kernel_basis(ctx, M[:1], 4)
-    assert kernel_basis(ctx, M[:0]).shape == (0, 0, 3, 3)
+    assert kernel_basis(ctx, M[:0], ctx.rank).shape == (0, ctx.rank, 3, 3)
 
