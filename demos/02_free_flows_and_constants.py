@@ -9,7 +9,7 @@ import numpy as np
 
 from redint import GroupContext, constants_map, free_flow, random_phase_point
 from redint.free_motion import (
-    casimir_difference,
+    casimir_value,
     constants_map_rank,
     double_norm,
     poisson_map_defect,
@@ -34,7 +34,7 @@ print("max drift over t in [0, 10]:", f"{worst:.2e}")
 print("\n== the image satisfies the Casimir matching conditions ==")
 z = constants_map(x)
 for k in (2, 3):
-    print(f"|C_{k}(X) - C_{k}(Y)| =", f"{casimir_difference(z, k):.2e}")
+    print(f"|C_{k}(X) - C_{k}(Y)| =", f"{abs(casimir_value(k, z.X) - casimir_value(k, z.Y)):.2e}")
 
 print("\n== Poisson property on random invariant words ==")
 rng = np.random.default_rng(2)

@@ -45,8 +45,6 @@ from .phase import (
     evaluate,
     gradients,
     moment_map,
-    moment_observable,
-    moment_generates_defect,
     poisson_bracket,
     random_phase_point,
 )

@@ -101,12 +101,7 @@ def _merge_config(args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"REDINT_SEED is not an integer: {env_seed!r}") from exc
 
-    try:
-        return ExperimentConfig(**merged)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**merged)
 
 
 def _write_output(text: str, path):

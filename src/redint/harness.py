@@ -127,21 +127,23 @@ def _generator_blocks(cfg: ExperimentConfig, count: int):
         yield [sample_rng(cfg.seed, i) for i in range(start, min(count, start + SAMPLE_BLOCK))]
 
 
-def _sample_points(cfg: ExperimentConfig, ctx: GroupContext, count: int):
-    """``(rng, x)`` for samples ``0..count-1``: the phase point is the first
-    draw of the sample's own generator, and later draws continue from it."""
+def _blocks(cfg: ExperimentConfig, ctx: GroupContext, count: int):
+    """``(rngs, xs)`` per block of :func:`_generator_blocks`: the generators and the
+    stack of their phase points, each the first draw of its own generator; later
+    draws continue from it."""
     for rngs in _generator_blocks(cfg, count):
-        xs = random_phase_point(ctx, rngs)
-        yield from zip(rngs, map(PhasePoint, xs.g, xs.J))
-
-
-def _phase_blocks(cfg: ExperimentConfig, ctx: GroupContext, count: int):
-    """The points of :func:`_sample_points`, stacked in blocks drawn one at a time."""
-    return (random_phase_point(ctx, rngs) for rngs in _generator_blocks(cfg, count))
+        yield rngs, random_phase_point(ctx, rngs)
 
 
 def _bound(value, cmp, provenance):
     return {"value": value, "cmp": cmp, "provenance": provenance}
+
+
+def _extremes(key, values, target, provenance):
+    """``min_<key>`` and ``max_<key>`` of the kept samples' values, -1 when no
+    sample was kept, and their two bounds ``== target``."""
+    observed = {f"min_{key}": min(values, default=-1), f"max_{key}": max(values, default=-1)}
+    return observed, {k: _bound(target, "eq", provenance) for k in observed}
 
 
 def _word_cap(cfg: ExperimentConfig) -> int:
@@ -169,16 +171,14 @@ def _check_bracket_axioms(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     worst_anti = worst_leibniz = worst_jacobi = worst_product_fd = 0.0
     p, p1, p2 = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    for rngs in _generator_blocks(cfg, cfg.samples):
-        xs = random_phase_point(ctx, rngs)
+    for rngs, xs in _blocks(cfg, ctx, cfg.samples):
         # per sample only what reads its own words F, G, H: their gradients at x
         # from one kernel call, their values and the product's chart stencil
         obs = [[w.random_observable(r, w.PHASE_LETTERS, max_len=3) for _ in range(3)] for r in rngs]
-        points = list(map(PhasePoint, xs.g, xs.J))
-        table = np.stack([gradient_table(o, x) for o, x in zip(obs, points)], axis=2)
-        fv, gv = np.array([(evaluate(F, x), evaluate(G, x)) for (F, G, _), x in zip(obs, points)]).T
+        table = np.stack([gradient_table(o, x) for o, x in zip(obs, xs)], axis=2)
+        fv, gv = np.array([(evaluate(F, x), evaluate(G, x)) for (F, G, _), x in zip(obs, xs)]).T
         product = lambda F, G: lambda y: evaluate(F, y) * evaluate(G, y)
-        fd = np.array([fd_chart(product(F, G), x) for (F, G, _), x in zip(obs, points)])
+        fd = np.array([fd_chart(product(F, G), x) for (F, G, _), x in zip(obs, xs)])
 
         # the rest once per block, on the (2, S, n, n) gradient pairs
         gF, gG, gH = table.swapaxes(0, 1)
@@ -197,8 +197,7 @@ def _check_bracket_axioms(cfg: ExperimentConfig):
         # {A, {B, C}} = -d({B, C}) along the Hamiltonian direction of A = obs[p], summed
         # in order p; stencil (p, s) reads the pair (p1, p2) of a kernel call on sample s's words
         def pair_brackets(y):
-            ys = zip(obs, np.moveaxis(y.g, 2, 0), np.moveaxis(y.J, 2, 0))
-            tables = [gradient_table(o, PhasePoint(g, J)) for o, g, J in ys]
+            tables = [gradient_table(o, y[:, :, s]) for s, o in enumerate(obs)]
             T = np.moveaxis(np.stack(tables, axis=-3), 1, 3)  # (2, 4, 3, 3, S, n, n)
             return bracket_from_gradients(y.J, T[:, :, p, p1], T[:, :, p, p2])
         nested = fd_bracket_with(pair_brackets, hamiltonian_velocity(xs.J, table), xs)
@@ -223,10 +222,11 @@ def _check_bracket_axioms(cfg: ExperimentConfig):
 def _check_psi_poisson(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     worst = 0.0
-    for rng, x in _sample_points(cfg, ctx, cfg.samples):
-        f = w.random_observable(rng, w.DOUBLE_LETTERS, max_len=cfg.max_word_len)
-        h = w.random_observable(rng, w.DOUBLE_LETTERS, max_len=cfg.max_word_len)
-        worst = max(worst, fm.poisson_map_defect(f, h, x))
+    for rngs, xs in _blocks(cfg, ctx, cfg.samples):
+        for rng, x in zip(rngs, xs):
+            f = w.random_observable(rng, w.DOUBLE_LETTERS, max_len=cfg.max_word_len)
+            h = w.random_observable(rng, w.DOUBLE_LETTERS, max_len=cfg.max_word_len)
+            worst = max(worst, fm.poisson_map_defect(f, h, x))
     observed = {"max_defect": worst}
     expected = {
         "max_defect": _bound(
@@ -243,7 +243,7 @@ def _check_flow_conservation(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     t_grid = np.arange(0.0, cfg.t_max + 1e-12, 0.5)[:, None]
     worst = 0.0
-    for x in _phase_blocks(cfg, ctx, cfg.samples):
+    for _, x in _blocks(cfg, ctx, cfg.samples):
         for k in range(2, ctx.n + 1):
             worst = max(worst, fm.flow_conservation_defect(x, k, t_grid))
     observed = {"max_drift": worst}
@@ -259,39 +259,34 @@ def _check_dpsi_rank(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     ranks = []
     tail = 0.0
-    for _, x in _sample_points(cfg, ctx, cfg.samples):
-        if not is_regular(x.J):
-            continue
-        r, s = fm.constants_map_rank(x)
-        ranks.append(r)
-        if r < s.size:
-            tail = max(tail, float(s[r] / s[0]))
+    for _, xs in _blocks(cfg, ctx, cfg.samples):
+        for x in xs[is_regular(xs.J)]:
+            r, s = fm.constants_map_rank(x)
+            ranks.append(r)
+            if r < s.size:
+                tail = max(tail, float(s[r] / s[0]))
     zero = PhasePoint(
         random_phase_point(ctx, sample_rng(cfg.seed, cfg.samples)).g,
         np.zeros((ctx.n, ctx.n), dtype=complex),
     )
     rank_zero, _ = fm.constants_map_rank(zero)
-    observed = {
-        "min_rank": min(ranks, default=-1),
-        "max_rank": max(ranks, default=-1),
-        "rank_at_zero_momentum": rank_zero,
-        "max_tail_ratio": tail,
-    }
-    full = ctx.dim_phase - ctx.rank
-    expected = {
-        "min_rank": _bound(full, "eq", "constant rank dim(phase) - rank(group) at regular momentum"),
-        "max_rank": _bound(full, "eq", "constant rank dim(phase) - rank(group) at regular momentum"),
-        "rank_at_zero_momentum": _bound(
-            ctx.dim_g, "eq", "differential image collapses to the momentum factor at zero"
-        ),
-    }
+    observed, expected = _extremes(
+        "rank",
+        ranks,
+        ctx.dim_phase - ctx.rank,
+        "constant rank dim(phase) - rank(group) at regular momentum",
+    )
+    observed.update(rank_at_zero_momentum=rank_zero, max_tail_ratio=tail)
+    expected["rank_at_zero_momentum"] = _bound(
+        ctx.dim_g, "eq", "differential image collapses to the momentum factor at zero"
+    )
     return observed, expected
 
 
 def _check_strata_census(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     hits = {"regular_momentum": 0, "principal": 0, "image_principal": 0, "regular_moment": 0}
-    for x in _phase_blocks(cfg, ctx, cfg.samples):
+    for _, x in _blocks(cfg, ctx, cfg.samples):
         flags = rd.classify(x)
         for key in hits:
             hits[key] += int(np.count_nonzero(getattr(flags, key)))
@@ -307,24 +302,19 @@ def _check_reduced_ham_span(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     spans = []
     violations = 0
-    for xs in _phase_blocks(cfg, ctx, cfg.samples):
+    for _, xs in _blocks(cfg, ctx, cfg.samples):
         flags = rd.classify(xs)
         keep = flags.principal & flags.regular_momentum
-        span = rd.reduced_hamiltonian_span(PhasePoint(xs.g[keep], xs.J[keep]))
+        span = rd.reduced_hamiltonian_span(xs[keep])
         spans += span[flags.image_principal[keep]].tolist()
         violations += int(np.count_nonzero(ctx.rank - span > flags.image_stabilizer_dim[keep]))
-    observed = {
-        "min_span": min(spans, default=-1),
-        "max_span": max(spans, default=-1),
-        "deficit_bound_violations": violations,
-    }
-    expected = {
-        "min_span": _bound(ctx.rank, "eq", "projected Hamiltonian span equals the group rank"),
-        "max_span": _bound(ctx.rank, "eq", "projected Hamiltonian span equals the group rank"),
-        "deficit_bound_violations": _bound(
-            0, "eq", "span deficit is bounded by the stabilizer dimension of the image"
-        ),
-    }
+    observed, expected = _extremes(
+        "span", spans, ctx.rank, "projected Hamiltonian span equals the group rank"
+    )
+    observed["deficit_bound_violations"] = violations
+    expected["deficit_bound_violations"] = _bound(
+        0, "eq", "span deficit is bounded by the stabilizer dimension of the image"
+    )
     return observed, expected
 
 
@@ -333,29 +323,20 @@ def _check_reduced_const_span(cfg: ExperimentConfig):
     finals = []
     plateau_at = 0
     monotone = True
-    for xs in _phase_blocks(cfg, ctx, cfg.samples):
-        keep = rd.classify(xs).image_principal
-        for sweep in rd.span_plateau(PhasePoint(xs.g[keep], xs.J[keep]), _word_cap(cfg)):
+    for _, xs in _blocks(cfg, ctx, cfg.samples):
+        for sweep in rd.span_plateau(xs[rd.classify(xs).image_principal], _word_cap(cfg)):
             finals.append(sweep[-1])
             if any(b < a for a, b in zip(sweep, sweep[1:])):
                 monotone = False
             plateau_at = max(plateau_at, 1 + sweep.index(sweep[-1]))
-    observed = {
-        "min_final_span": min(finals, default=-1),
-        "max_final_span": max(finals, default=-1),
-        "plateau_word_length": plateau_at,
-        "monotone_in_word_length": int(monotone),
-    }
-    target = ctx.dim_g - ctx.rank
-    expected = {
-        "min_final_span": _bound(
-            target, "eq", "constants-of-motion span has codimension rank(group)"
-        ),
-        "max_final_span": _bound(
-            target, "eq", "constants-of-motion span has codimension rank(group)"
-        ),
-        "monotone_in_word_length": _bound(1, "eq", "larger generating sets cannot lose span"),
-    }
+    observed, expected = _extremes(
+        "final_span",
+        finals,
+        ctx.dim_g - ctx.rank,
+        "constants-of-motion span has codimension rank(group)",
+    )
+    observed.update(plateau_word_length=plateau_at, monotone_in_word_length=int(monotone))
+    expected["monotone_in_word_length"] = _bound(1, "eq", "larger generating sets cannot lose span")
     return observed, expected
 
 
@@ -363,7 +344,7 @@ def _check_centrality(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     gens = rd.word_generators(min(cfg.max_word_len, 4))
     worst = 0.0
-    for x in _phase_blocks(cfg, ctx, cfg.samples):
+    for _, x in _blocks(cfg, ctx, cfg.samples):
         worst = max(worst, rd.max_centrality_defect(x, gens))
     observed = {"max_defect": worst}
     expected = {
@@ -377,20 +358,12 @@ def _check_centrality(cfg: ExperimentConfig):
 def _check_leaf_codim(cfg: ExperimentConfig):
     ctx = GroupContext(cfg.n)
     values = []
-    for xs in _phase_blocks(cfg, ctx, cfg.samples):
+    for _, xs in _blocks(cfg, ctx, cfg.samples):
         flags = rd.classify(xs)
-        keep = flags.principal & flags.regular_moment
-        values += rd.leaf_codim(PhasePoint(xs.g[keep], xs.J[keep])).tolist()
-    observed = {"min_codim": min(values, default=-1), "max_codim": max(values, default=-1)}
-    expected = {
-        "min_codim": _bound(
-            ctx.rank, "eq", "moment-level sets stack into leaves of codimension rank(group)"
-        ),
-        "max_codim": _bound(
-            ctx.rank, "eq", "moment-level sets stack into leaves of codimension rank(group)"
-        ),
-    }
-    return observed, expected
+        values += rd.leaf_codim(xs[flags.principal & flags.regular_moment]).tolist()
+    return _extremes(
+        "codim", values, ctx.rank, "moment-level sets stack into leaves of codimension rank(group)"
+    )
 
 
 def _check_invariant_span_double(cfg: ExperimentConfig):
@@ -642,11 +615,9 @@ def emit_plot_data(check: str, cfg: ExperimentConfig):
         comp = su2.reduced_dynamics_match(su2.SliceCoords(np.pi / 3.0, 0.0, 1.0), T=2.0, steps=10_000)
         return su2.trajectory_csv_rows(comp)
     if check == "reduced-const-span":
-        ctx = GroupContext(cfg.n)
-        for _, x in _sample_points(cfg, ctx, cfg.samples):
-            if rd.classify(x).image_principal:
+        for _, xs in _blocks(cfg, GroupContext(cfg.n), cfg.samples):
+            for x in xs[rd.classify(xs).image_principal]:
                 sweep = rd.span_plateau(x, _word_cap(cfg))
-                rows = [f"{m + 1},{r}" for m, r in enumerate(sweep)]
-                return "max_len,rank", rows
+                return "max_len,rank", [f"{m + 1},{r}" for m, r in enumerate(sweep)]
         raise UsageError("no sample landed on the required stratum")
     raise UsageError(f"check {check!r} has no plot data; use su2-dynamics or reduced-const-span")

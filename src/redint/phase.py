@@ -54,6 +54,17 @@ class PhasePoint:
     def context(self) -> GroupContext:
         return GroupContext(self.n)
 
+    def __getitem__(self, index):
+        """The point or stack that ``index`` picks along the stack axes, as
+        numpy indexes ``g`` and ``J``: ``x[mask]``, ``x[:, :, s]``."""
+        if np.ndim(self.g) < 3:
+            raise ShapeError("a single phase point has no stack axis")
+        return PhasePoint(self.g[index], self.J[index])
+
+    def __iter__(self):
+        """The points (or stacks) along the first stack axis, in order."""
+        return map(self.__getitem__, range(len(self.g)))
+
 
 def environment(x: PhasePoint):
     """Letter bindings for evaluating phase-space observables at ``x``."""
@@ -192,36 +203,6 @@ def moment_map(x: PhasePoint):
     """Conserved su(n) value ``J - g^{-1} J g`` generating the conjugation
     action, at one point or a stack of points."""
     return x.J - x.g.conj().swapaxes(-1, -2) @ x.J @ x.g
-
-
-def moment_observable(X) -> w.Observable:
-    """The pairing ``<moment_map(.), X>`` realized as a trace-word observable."""
-    X = np.asarray(X)
-    return w.observable(
-        w.word(("J", X), part="re", coeff=-1.0),
-        w.word(("Ginv", "J", "G", X), part="re", coeff=1.0),
-    )
-
-
-def action_derivative(F: w.Observable, X, x: PhasePoint) -> float:
-    """Central difference of ``t -> F(act(e^{tX}, x))`` at ``t = 0``, step ``H_FD``."""
-    plus = evaluate(F, act(group_exp(H_FD * np.asarray(X)), x))
-    minus = evaluate(F, act(group_exp(-H_FD * np.asarray(X)), x))
-    return (plus - minus) / (2.0 * H_FD)
-
-
-def moment_generates_defect(F: w.Observable, X, x: PhasePoint) -> float:
-    """``|{F, <moment, X>}(x) - d/dt F(act(e^{tX}, x))|``.
-
-    A small value certifies that the moment map generates the conjugation
-    action through the bracket.
-    """
-    X = np.asarray(X)
-    if not np.any(X):
-        return abs(poisson_bracket(F, moment_observable(X), x))
-    analytic = poisson_bracket(F, moment_observable(X), x)
-    numeric = action_derivative(F, X, x)
-    return abs(analytic - numeric)
 
 
 def random_algebra_pairs(ctx: GroupContext, seeds):

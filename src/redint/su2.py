@@ -277,7 +277,7 @@ def calibrate_time_scale(x_val: float) -> float:
     h = 1e-6
     probe = SliceCoords(np.pi / 3.0, 1.0, x_val)
     y = free_flow(slice_point(probe), 2, [h, -h])
-    qp, qm = (regauge_to_slice(PhasePoint(g, J)).q for g, J in zip(y.g, y.J))
+    qp, qm = (regauge_to_slice(point).q for point in y)
     return float((qp - qm) / (2.0 * h) / probe.p)
 
 

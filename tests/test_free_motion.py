@@ -6,7 +6,6 @@ import pytest
 from redint.free_motion import (
     DoublePoint,
     casimir,
-    casimir_difference,
     casimir_gradient,
     casimir_value,
     constants_map,
@@ -14,7 +13,6 @@ from redint.free_motion import (
     constants_map_jacobian,
     constants_map_rank,
     double_norm,
-    equivariance_defect,
     evaluate_double,
     flow_conservation_defect,
     free_flow,
@@ -37,6 +35,8 @@ from redint.groups import (
 )
 from redint.phase import PhasePoint, chart_basis, random_phase_point
 from redint.words import observable, random_observable, word
+
+from claims import casimir_difference, equivariance_defect
 
 CTX2 = GroupContext(2)
 CTX3 = GroupContext(3)

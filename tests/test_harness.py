@@ -22,6 +22,7 @@ from redint.groups import (
     GroupContext,
     basis_coordinates,
     inner,
+    is_regular,
     joint_centralizer_dim,
     norm,
     lie_bracket,
@@ -34,8 +35,7 @@ from redint.harness import (
     ConfigError,
     ExperimentConfig,
     UsageError,
-    _phase_blocks,
-    _sample_points,
+    _blocks,
     _word_cap,
     emit_plot_data,
     run_all,
@@ -304,8 +304,9 @@ def test_cli_in_process_entry_point():
 
 
 # --- samples stacked in blocks -------------------------------------------
-# The per-sample loops that seven checks ran before their samples were
-# stacked in blocks, kept as references: each report must stay byte-identical.
+# The per-sample loops that the sampled checks ran before their samples were
+# drawn and stacked in blocks, kept as references: each report must stay
+# byte-identical.
 
 
 def _reference_sample_points(cfg, ctx, count):
@@ -314,6 +315,37 @@ def _reference_sample_points(cfg, ctx, count):
     for i in range(count):
         rng = sample_rng(cfg.seed, i)
         yield rng, PhasePoint(random_group(ctx, rng), random_algebra(ctx, rng))
+
+
+def _reference_psi_poisson(cfg):
+    ctx = GroupContext(cfg.n)
+    worst = 0.0
+    for rng, x in _reference_sample_points(cfg, ctx, cfg.samples):
+        f = w.random_observable(rng, w.DOUBLE_LETTERS, max_len=cfg.max_word_len)
+        h = w.random_observable(rng, w.DOUBLE_LETTERS, max_len=cfg.max_word_len)
+        worst = max(worst, fm.poisson_map_defect(f, h, x))
+    return {"max_defect": worst}
+
+
+def _reference_dpsi_rank(cfg):
+    ctx = GroupContext(cfg.n)
+    ranks = []
+    tail = 0.0
+    for _, x in _reference_sample_points(cfg, ctx, cfg.samples):
+        if not is_regular(x.J):
+            continue
+        r, s = fm.constants_map_rank(x)
+        ranks.append(r)
+        if r < s.size:
+            tail = max(tail, float(s[r] / s[0]))
+    g = random_group(ctx, sample_rng(cfg.seed, cfg.samples))
+    rank_zero, _ = fm.constants_map_rank(PhasePoint(g, np.zeros((ctx.n, ctx.n), dtype=complex)))
+    return {
+        "min_rank": min(ranks, default=-1),
+        "max_rank": max(ranks, default=-1),
+        "rank_at_zero_momentum": rank_zero,
+        "max_tail_ratio": tail,
+    }
 
 
 def _reference_flow_conservation(cfg):
@@ -483,6 +515,8 @@ def _reference_su2_exceptional(cfg):
 
 
 REFERENCE_CHECKS = {
+    "psi-poisson": _reference_psi_poisson,
+    "dpsi-rank": _reference_dpsi_rank,
     "flow-conservation": _reference_flow_conservation,
     "moment-equation": _reference_moment_equation,
     "su2-exceptional": _reference_su2_exceptional,
@@ -539,11 +573,12 @@ def test_centralizer_calls_of_moment_equation_and_su2_exceptional_are_stacked(mo
 def test_phase_blocks_stack_the_sample_points_in_order():
     ctx = GroupContext(3)
     cfg = ExperimentConfig(n=3, seed=5, samples=2 * SAMPLE_BLOCK + 3)
-    points = [x for _, x in _sample_points(cfg, ctx, cfg.samples)]
-    blocks = list(_phase_blocks(cfg, ctx, cfg.samples))
-    assert [len(b.g) for b in blocks] == [SAMPLE_BLOCK, SAMPLE_BLOCK, 3]
+    points = [x for _, x in _reference_sample_points(cfg, ctx, cfg.samples)]
+    blocks = list(_blocks(cfg, ctx, cfg.samples))
+    assert [len(rngs) for rngs, _ in blocks] == [SAMPLE_BLOCK, SAMPLE_BLOCK, 3]
+    assert [len(xs.g) for _, xs in blocks] == [SAMPLE_BLOCK, SAMPLE_BLOCK, 3]
     for part in ("g", "J"):
-        stacked = np.concatenate([getattr(b, part) for b in blocks])
+        stacked = np.concatenate([getattr(xs, part) for _, xs in blocks])
         assert stacked.tobytes() == np.array([getattr(x, part) for x in points]).tobytes()
 
 
@@ -552,17 +587,17 @@ def test_phase_blocks_stack_the_sample_points_in_order():
 def test_block_drawer_equals_the_per_generator_draws_bit_for_bit(n, count):
     ctx = GroupContext(n)
     cfg = ExperimentConfig(n=n, seed=40 + n)
-    got = list(_sample_points(cfg, ctx, count))
+    blocks = list(_blocks(cfg, ctx, count))
+    got = [(rng, x) for rngs, xs in blocks for rng, x in zip(rngs, xs)]
     want = list(_reference_sample_points(cfg, ctx, count))
     assert len(got) == len(want) == count
     for (rng, x), (ref_rng, ref) in zip(got, want):
         assert x.g.tobytes() == ref.g.tobytes() and x.J.tobytes() == ref.J.tobytes()
         # each generator goes on from where its own one-point draw left it
         assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
-    blocks = list(_phase_blocks(cfg, ctx, count))
-    assert [len(b.g) for b in blocks] == [min(SAMPLE_BLOCK, count - s) for s in range(0, count, SAMPLE_BLOCK)]
+    assert [len(xs.g) for _, xs in blocks] == [min(SAMPLE_BLOCK, count - s) for s in range(0, count, SAMPLE_BLOCK)]
     for part in ("g", "J"):
-        stacked = np.concatenate([getattr(b, part) for b in blocks])
+        stacked = np.concatenate([getattr(xs, part) for _, xs in blocks])
         assert stacked.tobytes() == np.array([getattr(x, part) for _, x in want]).tobytes()
 
 
@@ -571,17 +606,55 @@ def test_samples_are_drawn_one_block_at_a_time_through_random_phase_point(monkey
     draw = harness.random_phase_point
     monkeypatch.setattr(harness, "random_phase_point", lambda ctx, seed: sizes.append(len(seed)) or draw(ctx, seed))
     cfg = ExperimentConfig(n=3, seed=1, samples=50)
-    next(_sample_points(cfg, GroupContext(3), cfg.samples))
-    assert sizes == [SAMPLE_BLOCK]
-    sizes.clear()
-    next(_phase_blocks(cfg, GroupContext(3), cfg.samples))
+    next(_blocks(cfg, GroupContext(3), cfg.samples))
     assert sizes == [SAMPLE_BLOCK]
     sizes.clear()
     emit_plot_data("reduced-const-span", cfg)
     assert sizes == [SAMPLE_BLOCK]
-    sizes.clear()
-    run_check("strata-census", dataclasses.replace(cfg, samples=SAMPLE_BLOCK + 1))
-    assert sizes == [SAMPLE_BLOCK, 1]
+    for name in ("strata-census", "psi-poisson", "bracket-axioms"):
+        sizes.clear()
+        run_check(name, dataclasses.replace(cfg, n=2, samples=SAMPLE_BLOCK + 1))
+        assert sizes == [SAMPLE_BLOCK, 1], name
+
+
+def _keep_nothing(monkeypatch):
+    """Make every sample fall off every stratum: all flags of ``classify``, and
+    the regular-momentum filter of ``dpsi-rank``, read False; returns the
+    stack shapes that filter was called on."""
+    classify, calls = rd.classify, []
+
+    def off_every_stratum(x):
+        flags = classify(x)
+        none = np.zeros_like(flags.principal)
+        return dataclasses.replace(
+            flags, regular_momentum=none, principal=none, image_principal=none, regular_moment=none
+        )
+
+    monkeypatch.setattr(rd, "classify", off_every_stratum)
+    monkeypatch.setattr(
+        harness, "is_regular", lambda J: calls.append(J.shape[:-2]) or np.zeros(J.shape[:-2], dtype=bool)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [("dpsi-rank", "rank"), ("reduced-ham-span", "span"), ("reduced-const-span", "final_span"), ("leaf-codim", "codim")],
+)
+def test_a_check_that_keeps_no_sample_reports_minus_one_and_fails(name, key, monkeypatch):
+    calls = _keep_nothing(monkeypatch)
+    report = run_check(name, ExperimentConfig(n=3, seed=1, samples=SAMPLE_BLOCK + 1))
+    assert report.observed[f"min_{key}"] == report.observed[f"max_{key}"] == -1
+    assert report.expected[f"min_{key}"]["value"] == report.expected[f"max_{key}"]["value"] > 0
+    assert report.passed is False
+    # dpsi-rank filters each block with one stacked call
+    assert calls == ([(SAMPLE_BLOCK,), (1,)] if name == "dpsi-rank" else [])
+
+
+def test_plot_data_of_reduced_const_span_needs_a_sample_on_the_stratum(monkeypatch):
+    _keep_nothing(monkeypatch)
+    with pytest.raises(UsageError, match="stratum"):
+        emit_plot_data("reduced-const-span", ExperimentConfig(n=3, seed=1, samples=SAMPLE_BLOCK + 1))
 
 
 def test_centrality_certifies_every_sample_it_reports(monkeypatch):

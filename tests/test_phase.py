@@ -30,9 +30,7 @@ from redint.phase import (
     gradient_table,
     gradients,
     hamiltonian_velocity,
-    moment_generates_defect,
     moment_map,
-    moment_observable,
     poisson_bracket,
     product_bracket,
     random_algebra_pairs,
@@ -49,6 +47,7 @@ from redint.words import (
     word,
 )
 
+from claims import moment_generates_defect, moment_observable
 from finite_differences import fd_directional
 
 CTX2 = GroupContext(2)
@@ -63,6 +62,28 @@ def pairing_observable(A):
 def test_phase_point_shape_guard():
     with pytest.raises(ShapeError):
         PhasePoint(np.eye(2), np.zeros((3, 3)))
+
+
+def test_phase_point_stacks_index_and_iterate_like_their_arrays():
+    rng = np.random.default_rng(29)
+    g, J = rng.standard_normal((2, 4, 3, 5, 3, 3)) + 1j * rng.standard_normal((2, 4, 3, 5, 3, 3))
+    y = PhasePoint(g, J)
+    same = lambda x, g_, J_: x.g.tobytes() == g_.tobytes() and x.J.tobytes() == J_.tobytes()
+    mask = np.array([True, False, True, True])
+    for index in (mask, (slice(None), slice(None), 2), 1, (3, 0, 4)):
+        assert same(y[index], g[index], J[index])
+    # stencil slices y[:, :, s] are the slices of the stacks' third axis
+    for s, (gs, Js) in enumerate(zip(np.moveaxis(g, 2, 0), np.moveaxis(J, 2, 0))):
+        assert same(y[:, :, s], gs, Js)
+    points = list(y[mask])
+    assert len(points) == 3
+    for x, gi, Ji in zip(points, g[mask], J[mask]):
+        assert same(x, gi, Ji)
+    # a single point has no stack axis: its rows are not points
+    with pytest.raises(ShapeError):
+        y[0, 0, 0][0]
+    with pytest.raises(ShapeError):
+        list(y[0, 0, 0])
 
 
 def test_eval_examples():
