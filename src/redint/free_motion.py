@@ -84,18 +84,15 @@ def casimir_gradient(k: int, J):
 
 
 def free_flow(x: PhasePoint, k: int, t) -> PhasePoint:
-    """Exact integral curve of the degree-``k`` Casimir Hamiltonian through ``x``.
-
-    ``t`` is one time or an array of times; for an array the result is a
-    stack of points whose group components, shape ``t.shape + (n, n)``, come
-    from one stacked :func:`group_exp` and equal the flows at each time
-    alone, bit for bit. The momentum component is the input's, bit-identical
-    (broadcast to the stack).
+    """Exact integral curve ``g(t) = exp(t grad C_k(J)) g`` of the degree-``k``
+    Casimir Hamiltonian through ``x``; ``t`` is one time or an array of times
+    that broadcasts against the stack shape of ``x``. One :func:`group_exp`
+    eigendecomposes each point's ``grad C_k(J)``, a polynomial in ``J``, once
+    for all times, and each time equals the flow to that time alone, bit for
+    bit. The momentum component is the input's, bit-identical (broadcast).
     """
-    t = np.asarray(t, dtype=float)
-    X = t[..., None, None] * casimir_gradient(k, x.J)
-    g = group_exp(X) @ x.g
-    return PhasePoint(g, x.J if t.ndim == 0 else np.broadcast_to(x.J, g.shape))
+    g = group_exp(casimir_gradient(k, x.J), t) @ x.g
+    return PhasePoint(g, x.J if np.ndim(t) == 0 else np.broadcast_to(x.J, g.shape))
 
 
 def constants_map(x: PhasePoint) -> DoublePoint:

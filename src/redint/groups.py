@@ -149,22 +149,20 @@ def check_group(g):
     return g
 
 
-def group_exp(X):
-    """Exponential su(n) -> SU(n) through the eigendecomposition of ``iX``.
+def group_exp(X, t=1.0):
+    """``exp(tX)``, su(n) -> SU(n), from one eigendecomposition of ``iX``.
 
-    ``X`` has shape ``(n, n)`` or is a stack ``(..., n, n)``; each slice of
-    the result equals the exponential of that slice alone, bit for bit.
-    ``iX`` is Hermitian for anti-Hermitian input, so the eigendecomposition
-    is exact up to roundoff; the result is then snapped back to the nearest
-    unitary by polar projection so that invariants do not drift along long
-    flows.
+    ``X`` has shape ``(n, n)`` or is a stack ``(..., n, n)``; ``t``, one time
+    or an array of times, broadcasts against its stack shape. Each slice
+    equals that slice's exponential at that time alone, bit for bit. ``iX`` is
+    Hermitian, so ``V exp(-itw) V^H`` is unitary to within the unitarity of
+    ``V`` plus one rounding per phase, at every ``t``; a polar projection
+    would move it only at roundoff, so none is taken.
     """
     X = check_algebra(X)
     w, V = np.linalg.eigh(1j * X)
-    U = (V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    # polar projection onto the unitary group
-    u, _, vh = np.linalg.svd(U)
-    return u @ vh
+    phases = np.exp(-1j * (np.asarray(t, dtype=float)[..., None] * w))
+    return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def adjoint(eta, X):

@@ -253,15 +253,15 @@ def integrate_sutherland(c0: SliceCoords, T: float, steps: int):
     qs, ps = array("d", [q]), array("d", [p])
     for _ in range(steps):
         # each stage's dq/dt is its momentum, and dp/dt the force x^2 cos q / (4 sin^3 q)
-        p1 = x2 * math.cos(q) / (4.0 * math.sin(q) ** 3)
+        p1 = x2 * math.cos(q) / (4.0 * math.sin(q) ** 3.0)
         q2 = p + half * p1
-        p2 = x2 * math.cos(y := q + half * p) / (4.0 * math.sin(y) ** 3)
+        p2 = x2 * math.cos(y := q + half * p) / (4.0 * math.sin(y) ** 3.0)
         q3 = p + half * p2
-        p3 = x2 * math.cos(y := q + half * q2) / (4.0 * math.sin(y) ** 3)
+        p3 = x2 * math.cos(y := q + half * q2) / (4.0 * math.sin(y) ** 3.0)
         q4 = p + h * p3
-        p4 = x2 * math.cos(y := q + h * q3) / (4.0 * math.sin(y) ** 3)
-        q = q + h * (p + 2 * q2 + 2 * q3 + q4) / 6.0
-        p = p + h * (p1 + 2 * p2 + 2 * p3 + p4) / 6.0
+        p4 = x2 * math.cos(y := q + h * q3) / (4.0 * math.sin(y) ** 3.0)
+        q = q + h * (p + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
+        p = p + h * (p1 + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
         qs.append(q)
         ps.append(p)
     return np.linspace(0.0, T, steps + 1), np.frombuffer(qs), np.frombuffer(ps)

@@ -112,11 +112,22 @@ def test_group_exp_rejects_non_algebra():
         group_exp(np.diag([1j, 1j]))  # anti-Hermitian but not traceless
 
 
-def _reference_group_exp(X):
-    """The one-matrix exponential as written before ``group_exp`` took stacks."""
+EPS = np.finfo(float).eps
+# c in the forward-error bounds c * n * eps; the largest ratio seen over
+# n = 2..8, |t| <= 20 and generators of norm up to 20 was 6.4
+C_ROUND = 16
+
+
+def _reference_group_exp(X, t=1.0):
+    """The one-matrix exponential ``exp(tX)``: one eigendecomposition of ``iX``."""
     w, V = np.linalg.eigh(1j * X)
-    U = (V * np.exp(-1j * w)) @ V.conj().T
-    u, _, vh = np.linalg.svd(U)
+    return (V * np.exp(-1j * (t * w))) @ V.conj().T
+
+
+def _polar_group_exp(X):
+    """The exponential as computed before the polar step was dropped: the
+    same eigendecomposition, then snapped to the nearest unitary by an SVD."""
+    u, _, vh = np.linalg.svd(_reference_group_exp(X))
     return u @ vh
 
 
@@ -132,7 +143,47 @@ def test_stacked_group_exp_equals_per_slice_calls_bit_for_bit(n):
     for Xi, Ui in zip(X, stacked):
         assert np.array_equal(Ui, group_exp(Xi))
         assert np.array_equal(Ui, _reference_group_exp(Xi))
+        # the polar step moved the same product only at roundoff
+        assert np.linalg.norm(Ui - _polar_group_exp(Xi)) <= C_ROUND * n * EPS
     assert np.array_equal(group_exp(X.reshape(4, 6, n, n)), stacked.reshape(4, 6, n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_group_exp_over_a_time_array_equals_each_time_alone_bit_for_bit(n):
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(60 + n)
+    X = np.array([random_algebra(ctx, rng) for _ in range(8)])
+    t = np.linspace(-20.0, 20.0, 17)
+    assert np.array_equal(group_exp(X[0]), group_exp(X[0], 1.0))
+    one = group_exp(X[0], t)
+    assert one.shape == (17, n, n)
+    grid = group_exp(X, t[:, None])  # a (T, 1) grid against a block of 8 points
+    assert grid.shape == (17, 8, n, n)
+    for i, ti in enumerate(t):
+        assert np.array_equal(one[i], group_exp(X[0], ti))
+        assert np.array_equal(one[i], _reference_group_exp(X[0], ti))
+        for j, Xj in enumerate(X):
+            assert np.array_equal(grid[i, j], group_exp(Xj, ti))
+            assert np.array_equal(grid[i, j], _reference_group_exp(Xj, ti))
+    for Xj, Uj in zip(X, group_exp(X, 2.5)):  # one time against the stack
+        assert np.array_equal(Uj, group_exp(Xj, 2.5))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_group_exp_stays_unitary_at_every_time(n):
+    """||U^H U - I|| stays within c n eps for |t| <= 20, with no growth in t,
+    and U(t) is the old route's exp(tX) to within c n (1 + |t| ||X||) eps."""
+    ctx = GroupContext(n)
+    rng = np.random.default_rng(80 + n)
+    t = np.linspace(-20.0, 20.0, 41)
+    for _ in range(4):
+        X = random_algebra(ctx, rng)
+        U = group_exp(X, t)
+        defect = np.linalg.norm(U.conj().swapaxes(-1, -2) @ U - np.eye(n), axis=(-2, -1))
+        assert defect.max() <= C_ROUND * n * EPS
+        for ti, Ui in zip(t, U):
+            bound = C_ROUND * n * (1.0 + abs(ti) * np.linalg.norm(X)) * EPS
+            assert np.linalg.norm(Ui - _polar_group_exp(ti * X)) <= bound
 
 
 def test_stacked_group_exp_rejects_a_stack_with_one_bad_slice():
