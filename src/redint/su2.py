@@ -164,55 +164,64 @@ _GAUGE_FAILURES = (
 )
 
 
-def _dagger(m):
-    return m.conj().swapaxes(-1, -2)
+def _conjugate(X, u0, u1):
+    """The entries ``00, 01, 10, 11`` of ``eta X eta^H`` on the last axis, for
+    ``eta = [[conj(u0), conj(u1)], [-u1, u0]]`` and ``X`` of shape ``(m, 2, 2)``."""
+    v0, v1 = -u1.conj(), u0.conj()  # eta^H = [[u0, v0], [u1, v1]]
+    a, b, c, e = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
+    Xu0, Xu1, Xv0, Xv1 = a * u0 + b * u1, c * u0 + e * u1, a * v0 + b * v1, c * v0 + e * v1
+    return np.stack(
+        [v1 * Xu0 - v0 * Xu1, v1 * Xv0 - v0 * Xv1, u0 * Xu1 - u1 * Xu0, u0 * Xv1 - u1 * Xv0], axis=-1
+    )
 
 
 def regauge_stack(y: PhasePoint):
     """Invert the gauge fixing at every point of a stack ``y`` of shape
     ``(m, 2, 2)``: conjugate each point onto the slice and read off
-    ``(q, p, x)``.
+    ``(q, p, x)``, in closed form, entry by entry.
 
-    The group component is diagonalized with the eigenvalue of positive
-    imaginary part first, which pins ``q`` in ``(0, pi)``; the residual
-    diagonal torus is then fixed by rotating the upper off-diagonal entry of
-    the momentum onto its slice phase. Returns the arrays ``q, p, x`` and a
-    dict from the index of each point outside the stratum (vanishing moment
-    value, central group part, or a gauge residual above ``1e-8``) to the
-    reason; the coordinates of those points are meaningless.
+    With ``K = (g - g^H) / 2i = [[k0, w], [conj(w), k1]]``, ``d = (k0 - k1) / 2``
+    and ``r = hypot(d, |w|)``, the eigenvector ``u`` of the larger eigenvalue of
+    ``K`` is ``(d + r, conj(w))`` if ``d >= 0`` and ``(w, r - d)`` if not (the
+    form without cancellation), normalised; ``eta = [[conj(u0), conj(u1)],
+    [-u1, u0]]`` is in SU(2) and puts ``e^{iq}``, ``q`` in ``(0, pi)``, first.
+    The residual torus rotates the upper off-diagonal entry of the momentum
+    onto its slice phase and leaves the diagonals alone. Returns the arrays
+    ``q, p, x`` and a dict from the index of each point outside the stratum
+    (vanishing moment value, central group part, or a gauge residual above
+    ``1e-8``) to the reason; the coordinates of those points are meaningless.
     """
     g, J = np.asarray(y.g), np.asarray(y.J)
     if g.ndim != 3 or g.shape[1:] != (2, 2):
         raise GaugeError("slice coordinates exist only for 2 x 2 points")
-    K = (g - _dagger(g)) / 2j
+    k0, k1 = g[:, 0, 0].imag, g[:, 1, 1].imag
+    w = (g[:, 0, 1] - g[:, 1, 0].conj()) / 2j
+    abs_w = np.hypot(w.real, w.imag)
+    d = 0.5 * (k0 - k1)
+    r = np.hypot(d, abs_w)
     # points that fail an early test may divide by zero further on
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, V = np.linalg.eigh(K)
-        # eigh sorts ascending; put the positive branch (e^{iq}, q in (0, pi)) first
-        eta = _dagger(V[..., ::-1])
-        eta = eta / np.sqrt(np.linalg.det(eta))[:, None, None]
-        q = np.angle((eta @ g @ _dagger(eta))[:, 0, 0])
-        off = (eta @ J @ _dagger(eta))[:, 0, 1]
-        # hypot, not np.abs: abs of a complex array is not the scalar abs bit for bit
-        x = 2.0 * np.sin(q) * np.hypot(off.real, off.imag)
-        # rotate the upper off-diagonal entry onto its slice phase
+        u0 = np.where(d >= 0.0, d + r, w)
+        u1 = np.where(d >= 0.0, w.conj(), r - d)
+        scale = np.hypot(np.hypot(u0.real, u0.imag), np.hypot(u1.real, u1.imag))
+        u0, u1 = u0 / scale, u1 / scale
+        G, M = _conjugate(g, u0, u1), _conjugate(J, u0, u1)
+        q = np.angle(G[:, 0])
+        p = M[:, 0].imag.copy()  # a view would keep M alive
+        x = 2.0 * np.sin(q) * np.hypot(M[:, 1].real, M[:, 1].imag)
+        # the torus rotation multiplies the upper off-diagonal entries by e^{2i theta}
         target = 1j / (1.0 - np.exp(-2j * q))
-        theta = 0.5 * (np.angle(target) - np.angle(off))
-        tau = np.zeros_like(eta)
-        tau[:, 0, 0] = np.exp(1j * theta)
-        tau[:, 1, 1] = np.exp(-1j * theta)
-        eta = tau @ eta
-        moved_J = eta @ J @ _dagger(eta)
-        p = moved_J[:, 0, 0].imag.copy()  # a view would keep moved_J alive
+        phase = np.exp(1j * (np.angle(target) - np.angle(M[:, 1])))[:, None]
+        tau = np.hstack([np.ones_like(phase), phase, phase.conj(), np.ones_like(phase)])
         # distance to the slice point at (q, p, x)
         slice_g, slice_J = _slice_matrices(q, p, x)
         residual = np.maximum(
-            np.linalg.norm(eta @ g @ _dagger(eta) - slice_g, axis=(-2, -1)),
-            np.linalg.norm(moved_J - slice_J, axis=(-2, -1)),
+            np.linalg.norm(tau * G - slice_g.reshape(-1, 4), axis=-1),
+            np.linalg.norm(tau * M - slice_J.reshape(-1, 4), axis=-1),
         )
         failure = np.select(
             [
-                np.linalg.norm(K, axis=(-2, -1)) <= TAU_EIG,
+                np.sqrt(k0 * k0 + k1 * k1 + 2.0 * abs_w * abs_w) <= TAU_EIG,
                 ~((0.0 < q) & (q < np.pi)),
                 x <= TAU_EIG,
                 residual > 1e-8,

@@ -12,8 +12,10 @@ from redint.groups import (
     GroupContext,
     check_algebra,
     check_group,
+    group_exp,
     joint_centralizer_dim,
     norm,
+    random_algebra,
     random_group,
 )
 from redint.phase import PhasePoint, act, moment_map
@@ -217,8 +219,9 @@ def test_trajectory_csv_format():
             float(field)  # every cell is a plain decimal literal
 
 
-# References: the one-point regauge, the numpy-scalar RK4 and the per-sample
-# comparison loop as written before the stacked versions replaced them.
+# References: the eigendecomposition regauge (eigh, det and 2 x 2 products) that
+# the closed form replaced, the numpy-scalar RK4 and the per-sample comparison
+# loop as written before the stacked versions replaced them.
 
 
 def _reference_regauge(y):
@@ -275,8 +278,9 @@ def _reference_integrate(c0, T, steps):
     return np.linspace(0.0, T, steps + 1), q, p
 
 
-def _reference_rows(c0, T, steps):
-    """Rows ``(t, q, p, deviation)`` of the per-sample comparison loop."""
+def _reference_rows(c0, T, steps, regauge):
+    """Rows ``(t, q, p, deviation)`` of the per-sample comparison loop, each
+    sample regauged by the one-point ``regauge``."""
     scale = calibrate_time_scale(c0.x)
     t_arr, q_arr, p_arr = _reference_integrate(c0, T, steps)
     x0 = slice_point(c0)
@@ -286,7 +290,7 @@ def _reference_rows(c0, T, steps):
     rows = []
     for k in idx:
         try:
-            c_t = _reference_regauge(free_flow(x0, 2, t_arr[k] / scale))
+            c_t = regauge(free_flow(x0, 2, t_arr[k] / scale))
         except GaugeError:
             break
         rows.append((t_arr[k], c_t.q, c_t.p, max(abs(c_t.q - q_arr[k]), abs(c_t.p - p_arr[k]))))
@@ -333,14 +337,138 @@ def _stack(points):
     return PhasePoint(np.array([y.g for y in points]), np.array([y.J for y in points]))
 
 
+# Forward-error bound between the closed-form regauge and the eigendecomposition
+# route (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3; the 2 x 2
+# Hermitian eigenvector as in Golub and Van Loan, section 8.5). Both routes take a
+# unit eigenvector u of the larger eigenvalue of K = (g - g^H) / 2i and read off
+# q = angle(u^H g u), p = Im(u^H J u) and x = 2 sin q |(eta J eta^H)_01|, with
+# eta in SU(2) of first row conj(u); none of the three depends on the phase of u.
+# - u. The closed form forms w, |w|, d, r and (d + r, conj(w)) or (w, r - d)
+#   with no cancellation on either branch, each to within 4 eps relative, and
+#   the normalisation adds 4 eps, so u is within 12 eps of an exact eigenvector
+#   of the input's K. eigh is backward stable: its u is an eigenvector of K + E
+#   with |E|_2 <= c eps |K|_2 = c eps sin q, half the gap 2 sin q of K, so by the
+#   sin theta theorem of Davis and Kahan it is within c eps / 2, which is 12 eps
+#   for a backward-error constant c <= 24.
+# - q. u is an eigenvector of g, so u^H g u is stationary in u; its four
+#   products and angle add at most 6 eps.
+# - p. An error delta in u moves u^H J u by at most 2 |J| delta, and forming it
+#   adds 4 eps |J|: at most 28 eps |J|.
+# - x = 2 sin q |(eta J eta^H)_01|. The modulus moves by at most 28 eps |J| as p
+#   does, times 2 sin q <= 2; sin q moves by at most 6 eps, times
+#   2 |(eta J eta^H)_01| <= 2 |J|; the products add 3 eps x <= 6 eps |J|: at most
+#   (56 + 12 + 6) eps |J| = 74 eps |J|.
+# Each route is within 74 eps (1 + |J|_F) of the exact (q, p, x), so the two are
+# within twice that. The probe points below differ by at most 2.9 eps (1 + |J|_F).
+REGAUGE_BOUND = 148
+
+
+def _regauge_bound(y):
+    return REGAUGE_BOUND * np.finfo(float).eps * (1.0 + np.linalg.norm(y.J))
+
+
+def _within_bound(got, want, y):
+    bound = _regauge_bound(y)
+    return all(abs(a - b) <= bound for a, b in zip((got.q, got.p, got.x), (want.q, want.p, want.x)))
+
+
 def test_regauge_stack_equals_the_one_point_regauge_bit_for_bit():
-    points = _probe_points(np.random.default_rng(21))
+    """The stack equals the one-point regauge bit for bit, and both are within the
+    forward-error bound of the eigendecomposition route."""
+    points = _probe_points(np.random.default_rng(21)) + [y for _, y in _branch_points()]
     q, p, x, failures = regauge_stack(_stack(points))
     assert failures == {}
     for i, y in enumerate(points):
-        ref = _reference_regauge(y)
-        assert (q[i], p[i], x[i]) == (ref.q, ref.p, ref.x)
-        assert regauge_to_slice(y) == ref
+        one = regauge_to_slice(y)
+        assert (q[i], p[i], x[i]) == (one.q, one.p, one.x)
+        assert _within_bound(one, _reference_regauge(y), y)
+
+
+def _branch_points():
+    """Points of known slice coordinates on either side of the branch rule
+    ``d >= 0`` of the closed-form eigenvector, on ``d = 0`` and on ``w = 0``."""
+    c = SliceCoords(1.0, 0.4, 1.3)
+    y = slice_point(c)
+    rng = np.random.default_rng(23)
+    # conjugating by the swap permutes and negates entries exactly
+    swap = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    # conjugating by half takes sigma_z to sigma_x, so g to cos q + i sin q sigma_x
+    half = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    about_x = np.array([[np.cos(c.q), 1j * np.sin(c.q)], [1j * np.sin(c.q), np.cos(c.q)]])
+    rotations = [act(random_group(CTX2, rng), y) for _ in range(6)]
+    # near the diagonal with the smaller eigenvalue first: d < 0 and |w| ~ 1e-4
+    tilt = act(group_exp(1e-4 * random_algebra(CTX2, rng)), act(swap, y))
+    return [
+        ("w = 0, d > 0", y),
+        ("w = 0, d < 0", act(swap, y)),
+        ("d = 0", PhasePoint(about_x, act(half, y).J)),
+        ("d > 0", next(z for z in rotations if _d_and_w(z)[0] > 0.0)),
+        ("d < 0", next(z for z in rotations if _d_and_w(z)[0] < 0.0)),
+        ("d < 0, |w| ~ 1e-4", tilt),
+    ]
+
+
+def _d_and_w(y):
+    """``(d, w)`` of the closed-form regauge: ``d = (Im g00 - Im g11) / 2`` and
+    ``w = (g01 - conj(g10)) / 2i``."""
+    return 0.5 * (y.g[0, 0].imag - y.g[1, 1].imag), (y.g[0, 1] - np.conj(y.g[1, 0])) / 2j
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_regauge_recovers_the_slice_coordinates_on_both_branches_and_their_boundary(case):
+    name, y = _branch_points()[case]
+    d, w = _d_and_w(y)
+    assert {
+        "w = 0, d > 0": w == 0.0 and d > 0.0,
+        "w = 0, d < 0": w == 0.0 and d < 0.0,
+        "d = 0": d == 0.0 and w != 0.0,
+        "d > 0": d > 0.0,
+        "d < 0": d < 0.0,
+        "d < 0, |w| ~ 1e-4": d < 0.0 and 1e-5 < abs(w) < 1e-3,
+    }[name]
+    got = regauge_to_slice(y)
+    assert _within_bound(got, SliceCoords(1.0, 0.4, 1.3), y)
+    assert _within_bound(got, _reference_regauge(y), y)
+
+
+def test_each_gauge_failure_reason_is_flagged_alike_by_every_route():
+    y = slice_point(SliceCoords(1.0, 0.2, 1.0))
+    bad = [
+        PhasePoint(np.eye(2, dtype=complex), y.J),  # central group part
+        # off SU(2), both eigenvalues of K negative: the angle is -0.2
+        PhasePoint(np.diag([np.exp(-0.2j), np.exp(-0.4j)]), y.J),
+        # commuting pair: the moment value vanishes
+        PhasePoint(np.diag([np.exp(0.5j), np.exp(-0.5j)]), np.diag([1j, -1j])),
+        PhasePoint((1.0 + 1e-6) * y.g, y.J),  # g 1e-6 off SU(2)
+        PhasePoint(y.g, y.J + 1e-6j * np.eye(2)),  # J of trace 2e-6 i
+    ]
+    good = _probe_points(np.random.default_rng(24))[:3]
+    points = [good[0], *bad[:3], good[1], *bad[3:], good[2]]
+    _, _, _, failures = regauge_stack(_stack(points))
+    assert failures == {
+        1: "group component is central; no slice angle exists",
+        2: f"diagonalized angle {np.angle(np.exp(-0.2j))} outside (0, pi)",
+        3: "moment value vanishes; point is outside the slice stratum",
+        5: "gauge residual 1.414e-06 exceeds 1e-8",
+        6: "gauge residual 2.000e-06 exceeds 1e-8",
+    }
+    for i in failures:
+        with pytest.raises(GaugeError) as err:
+            _reference_regauge(points[i])
+        assert failures[i] == str(err.value)
+        with pytest.raises(GaugeError, match=re.escape(failures[i])):
+            regauge_to_slice(points[i])
+
+
+def test_regauge_stack_of_no_points_and_of_other_shapes():
+    empty = np.zeros((0, 2, 2), dtype=complex)
+    q, p, x, failures = regauge_stack(PhasePoint(empty, empty))
+    assert failures == {}
+    assert all(a.shape == (0,) and a.dtype == np.float64 for a in (q, p, x))
+    y = slice_point(SliceCoords(1.0, 0.2, 1.0))
+    for g, J in ((y.g, y.J), (np.eye(3)[None], np.eye(3)[None] * 0j), (y.g[None, None], y.J[None, None])):
+        with pytest.raises(GaugeError, match="only for 2 x 2 points"):
+            regauge_stack(PhasePoint(g, J))
 
 
 def test_regauge_stack_flags_exactly_the_points_the_one_point_regauge_rejects():
@@ -370,11 +498,17 @@ def test_regauge_stack_flags_exactly_the_points_the_one_point_regauge_rejects():
 @pytest.mark.parametrize("c0", STARTS[:4])
 def test_reduced_dynamics_match_equals_the_per_sample_loop_bit_for_bit(c0):
     comp = reduced_dynamics_match(c0, T=2.0, steps=2_000)
-    t, q, p, deviation = _reference_rows(c0, 2.0, 2_000)
+    t, q, p, deviation = _reference_rows(c0, 2.0, 2_000, regauge_to_slice)
     for got, want in ((comp.t, t), (comp.q, q), (comp.p, p), (comp.deviation, deviation)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert not comp.domain_exit
     assert repr(comp.max_deviation) == repr(max((0.0, *deviation)))
+    # the flow of C_2 keeps J, so one bound holds at every sample
+    t_ref, *rows = _reference_rows(c0, 2.0, 2_000, _reference_regauge)
+    assert np.array_equal(t_ref, t)
+    bound = _regauge_bound(slice_point(c0))
+    for got, want in zip((q, p, deviation), rows, strict=True):
+        assert np.max(np.abs(got - want)) <= bound
 
 
 @pytest.mark.parametrize("k", [1, 7, 300])
