@@ -17,6 +17,17 @@ whose global minimum at ``(q, p) = (pi/2, 0)`` is the one orbit where the
 slice momentum and its conjugate are proportional, the stabilizer of the
 constants-map image jumps to a torus, and the projected Hamiltonian span
 drops to zero.
+
+The exact flows are those of the quadratic Casimir ``C_2(J) = -tr(J^2)``,
+which is ``<J, J>`` for the inner product ``-Re tr(XY)`` of
+``groups.inner`` and four times the Sutherland energy ``-1/4 tr(J^2)``.
+On the slice ``dg g^{-1} = i dq diag(1, -1)``, so the Liouville form
+``<J, dg g^{-1}>`` restricts to ``2 p dq`` and the reduced equations of a
+Hamiltonian ``H`` are ``2 dq/dtau = dH/dp``, ``2 dp/dtau = -dH/dq``. For
+``H = C_2 = 4 (p^2/2 + x^2/(8 sin^2 q))`` they read ``dq/dtau = 2 p``,
+``dp/dtau = -2 dV/dq``: the canonical Sutherland equations in the time
+``t = 2 tau``. So the ``C_2`` flow for the time ``t / TIME_SCALE`` is the
+Sutherland motion for the time ``t``, with ``TIME_SCALE = 2``.
 """
 
 from __future__ import annotations
@@ -63,6 +74,9 @@ P_GRID = tuple(np.linspace(-3.0, 3.0, 21))
 X_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 EXCEPTIONAL_Q = np.pi / 2.0
+
+# C_2 flow time per unit of Sutherland time, derived in the module docstring
+TIME_SCALE = 2.0
 
 
 def slice_grid(x_val: float) -> SliceCoords:
@@ -277,11 +291,13 @@ def integrate_sutherland(c0: SliceCoords, T: float, steps: int):
 
 
 def calibrate_time_scale(x_val: float) -> float:
-    """Ratio between the quadratic-Casimir flow time and Sutherland time.
+    """Ratio between the quadratic-Casimir flow time and Sutherland time,
+    measured: a cross-check of the derived :data:`TIME_SCALE`, which no flow
+    reads.
 
     Measured once at a probe point with unit momentum by differencing the
     regauged angles of the flows to ``+-1e-6``, taken from one stacked
-    :func:`free_flow`; with the inner product used here the ratio is 2.
+    :func:`free_flow`, so the regauge's roundoff enters divided by ``2e-6``.
     """
     h = 1e-6
     probe = SliceCoords(np.pi / 3.0, 1.0, x_val)
@@ -290,10 +306,69 @@ def calibrate_time_scale(x_val: float) -> float:
     return float((qp - qm) / (2.0 * h) / probe.p)
 
 
+def sutherland_closed_form(c0: SliceCoords, t):
+    """The exact Sutherland motion from ``c0`` at the times ``t``: arrays
+    ``(q, p)`` of the broadcast shape of ``t`` and the fields of ``c0``.
+
+    The energy ``E = p^2/2 + alpha / sin^2 q`` with ``alpha = x^2 / 8`` is the
+    Poeschl-Teller potential. With ``u = cos q``, ``du/dt = -p sin q``, so
+    ``(du/dt)^2 = 2 (E - alpha) - 2 E u^2`` and
+
+        cos q(t) = A cos(w t + phi),   w = sqrt(2 E),
+        p(t) = -(du/dt) / sin q = A w sin(w t + phi) / sin q(t),
+
+    with ``A cos phi = cos q0`` and ``A sin phi = p0 sin q0 / w``, so that
+    ``A^2 = (p0^2/2 + alpha cot^2 q0) / E = 1 - alpha / E``, a sum of squares
+    with no cancellation. ``A < 1`` for ``x > 0``, so ``q`` stays in
+    ``(0, pi)``. The code never forms ``A`` or ``phi``: it turns the pair
+    ``(A cos phi, A sin phi)`` by the angle ``w t`` and takes
+    ``sin^2 q = 1 - A^2 cos^2(w t + phi) = alpha / E + A^2 sin^2(w t + phi)``,
+    again a sum of squares, and ``q`` from ``arctan2``, so ``q`` and ``p`` keep
+    their relative accuracy near ``q = 0`` and ``pi`` and at ``t = 0`` return
+    ``(q0, p0)`` to a few ulps. ``cos q0`` is taken as the sine of the offset
+    ``EXCEPTIONAL_Q - q0`` (exact for ``q0 >= pi/4``), so the slice equilibrium
+    ``EXCEPTIONAL_Q`` has ``A = 0`` exactly and stays put: ``q`` is
+    ``EXCEPTIONAL_Q`` and ``p`` zero at every time.
+    """
+    q0, p0, x = np.asarray(c0.q), np.asarray(c0.p), np.asarray(c0.x)
+    energy = sutherland_energy(c0)
+    omega = np.sqrt(2.0 * energy)
+    s0 = np.sin(q0)
+    a, b = np.sin(EXCEPTIONAL_Q - q0), p0 * s0 / omega  # A cos phi, A sin phi
+    wt = omega * np.asarray(t)
+    cos_wt, sin_wt = np.cos(wt), np.sin(wt)
+    cos_q = a * cos_wt - b * sin_wt
+    a_sin = a * sin_wt + b * cos_wt  # A sin(w t + phi)
+    sin_q = np.sqrt(x * x / 8.0 / energy + a_sin * a_sin)
+    return np.arctan2(sin_q, cos_q), omega * a_sin / sin_q
+
+
+def _sample_steps(steps: int):
+    """The step indices a comparison samples: every ``max(1, steps // 1000)``-th
+    and the last."""
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    idx = np.arange(0, steps + 1, max(1, steps // 1000))
+    return idx if idx[-1] == steps else np.append(idx, steps)
+
+
+def _energies(c0: SliceCoords, q, p):
+    """The Sutherland energy of coupling ``c0.x`` along ``(q, p)``."""
+    return 0.5 * p**2 + c0.x**2 / (8.0 * np.sin(q) ** 2)
+
+
+def _deviation(q, p, q_ref, p_ref):
+    dq, dp = np.abs(q - q_ref), np.abs(p - p_ref)
+    return np.where(dp > dq, dp, dq)  # Python's max(dq, dp)
+
+
 @dataclass(frozen=True)
 class TrajectoryComparison:
-    """Side-by-side record of the regauged exact flow and the canonical
-    integration of the Sutherland energy."""
+    """Side-by-side record, at the sample times ``t``, of the regauged exact
+    flow (``q``, ``p``) and the exact Sutherland motion of
+    :func:`sutherland_closed_form` (``q_oracle``, ``p_oracle``, and its
+    ``energy`` and ``energy_drift``). ``deviation`` is the larger of the two
+    coordinate gaps per sample; ``time_scale`` is :data:`TIME_SCALE`."""
 
     t: np.ndarray
     q: np.ndarray
@@ -314,44 +389,54 @@ def reduced_dynamics_match(
     steps: int = 10_000,
 ) -> TrajectoryComparison:
     """Flow the slice point with the exact quadratic-Casimir flow, regauge
-    back to the slice, and compare against the canonical integration.
+    back to the slice, and compare against the exact Sutherland motion.
 
-    ``T`` is Sutherland time; the exact flow runs at ``T / time_scale``. The
-    comparison samples every ``max(1, steps // 1000)``-th step and the last;
-    all samples are flowed in one stacked :func:`free_flow` and regauged by
-    one :func:`regauge_stack`. A gauge failure along the way (the trajectory
-    reaching ``q -> 0`` or ``q -> pi``) is reported through ``domain_exit``
-    rather than raised, and the comparison ends at the first failing sample.
+    ``T`` is Sutherland time; the exact flow runs at ``T / TIME_SCALE``. Of a
+    grid of ``steps`` equal steps, the comparison samples every
+    ``max(1, steps // 1000)``-th point and the last, the points at which
+    :func:`rk4_deviation` compares an :func:`integrate_sutherland` run of
+    ``steps`` steps; all samples are flowed in one stacked :func:`free_flow`
+    and regauged by one :func:`regauge_stack`. A gauge failure along the way
+    (the trajectory reaching ``q -> 0`` or ``q -> pi``) is reported through
+    ``domain_exit`` rather than raised, and the comparison ends at the first
+    failing sample.
     """
-    scale = calibrate_time_scale(c0.x)
-    t_arr, q_arr, p_arr = integrate_sutherland(c0, T, steps)
-    energy0 = sutherland_energy(c0)
-    energies = 0.5 * p_arr**2 + c0.x**2 / (8.0 * np.sin(q_arr) ** 2)
-    drift = float(np.max(np.abs(energies - energy0)))
-
-    idx = np.arange(0, steps + 1, max(1, steps // 1000))
-    if idx[-1] != steps:
-        idx = np.append(idx, steps)
-    flowed = free_flow(slice_point(c0), 2, t_arr[idx] / scale)
-    q, p, _, failures = regauge_stack(flowed)
-    stop = min(failures, default=len(idx))
-    idx, q, p = idx[:stop], q[:stop], p[:stop]
-    dq = np.abs(q - q_arr[idx])
-    dp = np.abs(p - p_arr[idx])
-    deviation = np.where(dp > dq, dp, dq)  # Python's max(dq, dp)
+    idx = _sample_steps(steps)
+    t = np.linspace(0.0, T, steps + 1)[idx]
+    q_exact, p_exact = sutherland_closed_form(c0, t)
+    energies = _energies(c0, q_exact, p_exact)
+    drift = float(np.max(np.abs(energies - sutherland_energy(c0))))
+    q, p, _, failures = regauge_stack(free_flow(slice_point(c0), 2, t / TIME_SCALE))
+    k = min(failures, default=len(t))
+    q, p, q_exact, p_exact = q[:k], p[:k], q_exact[:k], p_exact[:k]
+    deviation = _deviation(q, p, q_exact, p_exact)
     return TrajectoryComparison(
-        t_arr[idx],
+        t[:k],
         q,
         p,
-        q_arr[idx],
-        p_arr[idx],
-        energies[idx],
+        q_exact,
+        p_exact,
+        energies[:k],
         deviation,
         max((0.0, *deviation)),
-        scale,
+        TIME_SCALE,
         drift,
         bool(failures),
     )
+
+
+def rk4_deviation(comp: TrajectoryComparison, c0: SliceCoords, T: float, steps: int):
+    """The third route: :func:`integrate_sutherland` from ``c0`` over ``T`` in
+    ``steps`` steps against the regauged flow of ``comp``, the
+    :func:`reduced_dynamics_match` of the same arguments. Returns the largest
+    deviation at ``comp``'s samples and the RK4 energy drift over every step."""
+    t, q, p = integrate_sutherland(c0, T, steps)
+    idx = _sample_steps(steps)[: len(comp.t)]
+    if not np.array_equal(t[idx], comp.t):
+        raise ValueError("the comparison was sampled on another time grid")
+    deviation = _deviation(comp.q, comp.p, q[idx], p[idx])
+    drift = float(np.max(np.abs(_energies(c0, q, p) - sutherland_energy(c0))))
+    return max((0.0, *deviation)), drift
 
 
 def trajectory_csv_rows(comp: TrajectoryComparison):

@@ -25,6 +25,7 @@ from redint.su2 import (
     P_GRID,
     Q_GRID,
     SliceCoords,
+    TIME_SCALE,
     X_GRID,
     calibrate_time_scale,
     energy_identity_residual,
@@ -33,9 +34,11 @@ from redint.su2 import (
     reduced_dynamics_match,
     regauge_stack,
     regauge_to_slice,
+    rk4_deviation,
     slice_image_first_component,
     slice_moment_value,
     slice_point,
+    sutherland_closed_form,
     sutherland_energy,
     trajectory_csv_rows,
 )
@@ -192,7 +195,7 @@ def test_reduced_dynamics_match():
     assert not comp.domain_exit
     assert comp.max_deviation <= 1e-6
     assert comp.energy_drift <= 1e-8
-    assert comp.time_scale == pytest.approx(2.0, abs=1e-6)
+    assert comp.time_scale == TIME_SCALE == 2.0
 
 
 @pytest.mark.parametrize("steps", [0, -5])
@@ -221,7 +224,8 @@ def test_trajectory_csv_format():
 
 # References: the eigendecomposition regauge (eigh, det and 2 x 2 products) that
 # the closed form replaced, the numpy-scalar RK4 and the per-sample comparison
-# loop as written before the stacked versions replaced them.
+# loop as written before the stacked versions replaced them (now against the
+# closed-form motion at the time scale 2).
 
 
 def _reference_regauge(y):
@@ -279,10 +283,10 @@ def _reference_integrate(c0, T, steps):
 
 
 def _reference_rows(c0, T, steps, regauge):
-    """Rows ``(t, q, p, deviation)`` of the per-sample comparison loop, each
-    sample regauged by the one-point ``regauge``."""
-    scale = calibrate_time_scale(c0.x)
-    t_arr, q_arr, p_arr = _reference_integrate(c0, T, steps)
+    """Rows ``(t, q, p, q_oracle, p_oracle, deviation)`` of the per-sample
+    comparison loop: each sample flowed for ``t / 2.0``, regauged by the
+    one-point ``regauge`` and compared with the closed form at that one time."""
+    t_arr = np.linspace(0.0, T, steps + 1)
     x0 = slice_point(c0)
     idx = list(range(0, steps + 1, max(1, steps // 1000)))
     if idx[-1] != steps:
@@ -290,10 +294,11 @@ def _reference_rows(c0, T, steps, regauge):
     rows = []
     for k in idx:
         try:
-            c_t = regauge(free_flow(x0, 2, t_arr[k] / scale))
+            c_t = regauge(free_flow(x0, 2, t_arr[k] / 2.0))
         except GaugeError:
             break
-        rows.append((t_arr[k], c_t.q, c_t.p, max(abs(c_t.q - q_arr[k]), abs(c_t.p - p_arr[k]))))
+        q, p = sutherland_closed_form(c0, t_arr[k])
+        rows.append((t_arr[k], c_t.q, c_t.p, q, p, max(abs(c_t.q - q), abs(c_t.p - p))))
     return [np.array(col) for col in zip(*rows)]
 
 
@@ -498,16 +503,26 @@ def test_regauge_stack_flags_exactly_the_points_the_one_point_regauge_rejects():
 @pytest.mark.parametrize("c0", STARTS[:4])
 def test_reduced_dynamics_match_equals_the_per_sample_loop_bit_for_bit(c0):
     comp = reduced_dynamics_match(c0, T=2.0, steps=2_000)
-    t, q, p, deviation = _reference_rows(c0, 2.0, 2_000, regauge_to_slice)
-    for got, want in ((comp.t, t), (comp.q, q), (comp.p, p), (comp.deviation, deviation)):
+    t, q, p, q_exact, p_exact, deviation = _reference_rows(c0, 2.0, 2_000, regauge_to_slice)
+    for got, want in (
+        (comp.t, t),
+        (comp.q, q),
+        (comp.p, p),
+        (comp.q_oracle, q_exact),
+        (comp.p_oracle, p_exact),
+        (comp.deviation, deviation),
+    ):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert not comp.domain_exit
     assert repr(comp.max_deviation) == repr(max((0.0, *deviation)))
     # the flow of C_2 keeps J, so one bound holds at every sample
-    t_ref, *rows = _reference_rows(c0, 2.0, 2_000, _reference_regauge)
-    assert np.array_equal(t_ref, t)
+    t_ref, q_ref, p_ref, q_exact_ref, p_exact_ref, deviation_ref = _reference_rows(
+        c0, 2.0, 2_000, _reference_regauge
+    )
+    assert np.array_equal(t_ref, t) and np.array_equal(q_exact_ref, q_exact)
+    assert np.array_equal(p_exact_ref, p_exact)
     bound = _regauge_bound(slice_point(c0))
-    for got, want in zip((q, p, deviation), rows, strict=True):
+    for got, want in ((q, q_ref), (p, p_ref), (deviation, deviation_ref)):
         assert np.max(np.abs(got - want)) <= bound
 
 
@@ -518,10 +533,7 @@ def test_reduced_dynamics_match_keeps_the_rows_before_the_first_gauge_failure(mo
     real = su2.regauge_stack
 
     def failing_from_k(y):
-        # only the trajectory's regauge fails; short stacks (probes) pass through
         q, p, x, failures = real(y)
-        if len(q) <= 2:
-            return q, p, x, failures
         return q, p, x, {**failures, **{i: "stubbed" for i in range(k, len(q))}}
 
     monkeypatch.setattr(su2, "regauge_stack", failing_from_k)
@@ -530,6 +542,116 @@ def test_reduced_dynamics_match_keeps_the_rows_before_the_first_gauge_failure(mo
     for field in ("t", "q", "p", "q_oracle", "p_oracle", "energy", "deviation"):
         assert np.array_equal(getattr(cut, field), getattr(full, field)[:k])
     assert cut.max_deviation == max((0.0, *full.deviation[:k]))
+
+
+# Forward-error bounds of sutherland_closed_form, to first order in u = eps / 2
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3). Arithmetic and
+# sqrt round to within u; sin, cos and arctan2 are taken to be within two ulps,
+# 4u (numpy's loops match the C library's sin and cos bit for bit, and its atan2
+# to one ulp). Write C = A cos(wt + phi) and S = A sin(wt + phi) as computed.
+# - At t = 0, cos 0 = 1 and sin 0 = 0 are exact, so C = a and S = b with no
+#   rounding. sin q = sqrt(alpha/E + b^2) is the computed sin q0 (4u) to within
+#   5.5u: E, alpha/E and b^2 add 9u to its square and sqrt adds u. a =
+#   sin(EXCEPTIONAL_Q - q0) is cos q0 to within 4u |cos q0| + 2.2u sin q0 (the
+#   0.55u offset of EXCEPTIONAL_Q from pi/2, and the rounding of the subtraction
+#   below pi/4). arctan2 turns these into 13.7u sin q0, and adds 4u q0: |q - q0|
+#   <= 17.7u q0 < 10 eps q0. p = w b / sin q cancels w, and b and sin q share the
+#   computed sin q0: four roundings and the 5.5u of sin q give |p - p0| <= 9.5u |p0|.
+# - Energy. The output has sin^2 q = (alpha/E + S^2) / (1 + eta) with
+#   eta = C^2 + S^2 + alpha/E - 1 (zero in exact arithmetic), so its energy is
+#   E (1 + eta (alpha/E) / sin^2 q), within |eta| E of E. eta gathers a and b
+#   (26u A^2 + 2.2u: 4u and 2.2u in a, 13u in b), their rotation by the rounded
+#   cos wt and sin wt (24.6u A^2) and alpha/E (14u): |eta| <= 53u. The rest: E
+#   itself (12u), sin q and p (4u and 6u), the evaluation of the energy at the
+#   output and at the start (12u each), and the rounding of q by arctan2, at
+#   most 4 pi u, which moves alpha / sin^2 q by 2 |cot q| times that. In all
+#   |E(t) - E(0)| <= eps E (50 + 4 pi |cot q(t)|).
+# On the 2,000 starts below the start is recovered within 1.0 eps q0 and
+# 1.7 eps |p0|, and the energy within 0.14 of its bound.
+CLOSED_FORM_START_BOUND = 10
+CLOSED_FORM_ENERGY_BOUND = 50
+CLOSED_FORM_ENERGY_COT = 4 * np.pi
+
+
+def _random_starts(rng, m):
+    """``m`` slice starts, arrays of shape ``(m, 1)``: q down to 0.05 from 0 and
+    pi, |p| up to 3 and x from 0.1 to 8."""
+    shape = (m, 1)
+    return SliceCoords(
+        rng.uniform(0.05, np.pi - 0.05, shape), rng.uniform(-3.0, 3.0, shape), rng.uniform(0.1, 8.0, shape)
+    )
+
+
+def test_closed_form_returns_the_start_at_time_zero():
+    c = _random_starts(np.random.default_rng(41), 2_000)
+    q, p = sutherland_closed_form(c, 0.0)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(q - c.q) <= CLOSED_FORM_START_BOUND * eps * c.q)
+    assert np.all(np.abs(p - c.p) <= CLOSED_FORM_START_BOUND * eps * np.abs(c.p))
+    q, p = sutherland_closed_form(SliceCoords(1.2, 0.0, 1.0), 0.0)
+    assert p == 0.0 and abs(q - 1.2) <= CLOSED_FORM_START_BOUND * eps * 1.2
+
+
+def test_closed_form_conserves_the_energy():
+    c = _random_starts(np.random.default_rng(42), 2_000)
+    q, p = sutherland_closed_form(c, np.linspace(0.0, 20.0, 401))
+    energy = sutherland_energy(SliceCoords(q, p, np.broadcast_to(c.x, q.shape)))
+    e0 = sutherland_energy(c)
+    cot = np.abs(np.cos(q) / np.sin(q))
+    bound = np.finfo(float).eps * e0 * (CLOSED_FORM_ENERGY_BOUND + CLOSED_FORM_ENERGY_COT * cot)
+    assert np.all(np.abs(energy - e0) <= bound)
+
+
+def test_closed_form_keeps_q_inside_the_slice():
+    c = _random_starts(np.random.default_rng(43), 2_000)
+    t = np.linspace(0.0, 20.0, 401)
+    q, p = sutherland_closed_form(c, t)
+    assert q.shape == p.shape == (2_000, 401)
+    # SliceCoords rejects a q outside (0, pi) and any non-finite entry
+    SliceCoords(q, p, np.broadcast_to(c.x, q.shape))
+    # the stack of starts is each start alone, bit for bit
+    for i in (0, 999, 1_999):
+        one = sutherland_closed_form(SliceCoords(float(c.q[i, 0]), float(c.p[i, 0]), float(c.x[i, 0])), t)
+        assert np.array_equal(one[0], q[i]) and np.array_equal(one[1], p[i])
+
+
+@pytest.mark.parametrize("x_val", [0.1, 1.0, 8.0])
+def test_closed_form_keeps_the_equilibrium_exactly(x_val):
+    q, p = sutherland_closed_form(SliceCoords(EXCEPTIONAL_Q, 0.0, x_val), np.linspace(0.0, 100.0, 1_001))
+    assert np.all(q == EXCEPTIONAL_Q)
+    assert np.all(p == 0.0)
+
+
+def test_rk4_converges_to_the_closed_form_at_order_four():
+    """Halving the step divides the error of a fourth-order method by 2^4 up to
+    a relative O(h) term; the observed order log2 of the ratio stays within
+    1/4 of 4 from 50 to 400 steps."""
+    for c0 in (STARTS[0], *STARTS[2:]):
+        errors = []
+        for steps in (50, 100, 200, 400):
+            t, q, p = integrate_sutherland(c0, 2.0, steps)
+            q_exact, p_exact = sutherland_closed_form(c0, t)
+            errors.append(max(np.max(np.abs(q - q_exact)), np.max(np.abs(p - p_exact))))
+        order = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(np.abs(order - 4.0) <= 0.25), order
+
+
+def test_su2_dynamics_takes_the_larger_deviation_of_the_closed_form_and_rk4_routes():
+    c0 = SliceCoords(np.pi / 3.0, 0.0, 1.0)
+    comp = reduced_dynamics_match(c0, T=2.0, steps=10_000)
+    t, q, p = integrate_sutherland(c0, 2.0, 10_000)
+    assert np.array_equal(comp.t, t[::10])
+    rk4 = max(max(abs(a - b), abs(c - d)) for a, b, c, d in zip(comp.q, q[::10], comp.p, p[::10]))
+    energy = 0.5 * p**2 + c0.x**2 / (8.0 * np.sin(q) ** 2)
+    drift = float(np.max(np.abs(energy - sutherland_energy(c0))))
+    assert rk4_deviation(comp, c0, 2.0, 10_000) == (rk4, drift)
+    report = harness.run_check("su2-dynamics", harness.ExperimentConfig(n=2))
+    assert report.observed["max_deviation"] == max(comp.max_deviation, rk4)
+    assert report.observed["oracle_energy_drift"] == drift
+    assert report.observed["time_scale"] == calibrate_time_scale(1.0)
+    assert report.passed
+    with pytest.raises(ValueError, match="another time grid"):
+        rk4_deviation(reduced_dynamics_match(c0, T=2.0, steps=2_000), c0, 2.0, 10_000)
 
 
 # References: the per-point slice closed forms and the su2-energy grid loop
