@@ -10,7 +10,9 @@ every constant of motion of these flows: it is conserved, equivariant for
 diagonal conjugation, Poisson onto the product of the minus and plus
 Lie-Poisson structures, and of constant rank ``dim_phase - rank`` over the
 regular set. Each of those properties but equivariance, which the tests
-certify, is exposed below as a residual or an integer certificate.
+certify, is exposed below as a residual or an integer certificate; the rank
+is that of the exact differential in chart coordinates, a square matrix of
+side ``dim_phase``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import words as w
 from .groups import (
     TAU_RANK,
     ShapeError,
+    adjoint,
     group_exp,
     inner,
     lie_bracket,
@@ -30,7 +33,7 @@ from .groups import (
     numerical_rank,
     project_algebra,
 )
-from .phase import PhasePoint, fd_chart, poisson_bracket
+from .phase import PhasePoint, chart_basis, chart_rows, poisson_bracket
 
 # part/sign of Re[i^k tr(W^k)] as a function of k mod 4
 _CASIMIR_PART = {0: ("re", 1.0), 1: ("im", -1.0), 2: ("re", -1.0), 3: ("im", 1.0)}
@@ -161,37 +164,26 @@ def poisson_map_defect(f: w.Observable, h: w.Observable, x: PhasePoint) -> float
     return abs(lhs - rhs)
 
 
-def _flatten_double(z: DoublePoint):
-    lead = z.X.shape[:-2]
-    parts = (z.X.real, z.X.imag, z.Y.real, z.Y.imag)
-    return np.concatenate([p.reshape(lead + (-1,)) for p in parts], axis=-1)
-
-
 def constants_map_jacobian(x: PhasePoint):
-    """Jacobian of the constants map by central differences, all columns from
-    one stacked stencil.
+    """Exact differential of the constants map in chart coordinates, the
+    square ``(2 dim_g, 2 dim_g)`` matrix at one point, ``(..., 2 dim_g, 2 dim_g)``
+    at a stack; each entry of a stack equals its one-point call bit for bit.
 
-    Columns follow :func:`chart_basis`; rows flatten both components of
-    the double into real coordinates.
+    Column ``j`` is the image of the :func:`~redint.phase.chart_basis`
+    direction ``(a, b)``: a group direction ``a`` maps to ``(g^{-1} [J, a] g, 0)``
+    and a fiber direction ``b`` to ``(g^{-1} b g, b)``, in the coordinates
+    ``[coords(dX) | coords(dY)]`` of :func:`~redint.phase.chart_rows`.
     """
-    return np.ascontiguousarray(fd_chart(lambda y: _flatten_double(constants_map(y)), x).T)
-
-
-def constants_map_differential(x: PhasePoint, a, b):
-    """Exact image of the chart direction ``(a, b)`` under the differential.
-
-    The group direction maps to ``(g^{-1} [J, a] g, 0)`` and the fiber
-    direction to ``(g^{-1} b g, b)``.
-    """
-    ginv = x.g.conj().T
-    dX = ginv @ (lie_bracket(x.J, a) + b) @ x.g
-    return dX, b
+    a, b = chart_basis(x.context)
+    ginv = x.g.conj().swapaxes(-1, -2)[..., None, :, :]
+    dX = adjoint(ginv, lie_bracket(x.J[..., None, :, :], a) + b)
+    return chart_rows(x.context, dX, np.broadcast_to(b, dX.shape)).swapaxes(-1, -2)
 
 
 def constants_map_rank(x: PhasePoint):
-    """Numerical rank of the Jacobian; ``dim_phase - rank`` at regular momenta.
+    """Numerical rank of :func:`constants_map_jacobian`, ``dim_phase - rank`` at
+    regular momenta; at a stack of points an int array (empty for an empty stack).
 
     Returns ``(rank, singular_values)``.
     """
     return numerical_rank(constants_map_jacobian(x), TAU_RANK)
-

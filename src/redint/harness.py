@@ -260,11 +260,10 @@ def _check_dpsi_rank(cfg: ExperimentConfig):
     ranks = []
     tail = 0.0
     for _, xs in _blocks(cfg, ctx, cfg.samples):
-        for x in xs[is_regular(xs.J)]:
-            r, s = fm.constants_map_rank(x)
-            ranks.append(r)
-            if r < s.size:
-                tail = max(tail, float(s[r] / s[0]))
+        r, s = fm.constants_map_rank(xs[is_regular(xs.J)])
+        ranks += r.tolist()
+        cut = r < s.shape[-1]
+        tail = max((tail, *(s[cut, r[cut]] / s[cut, 0]).tolist()))
     zero = PhasePoint(
         random_phase_point(ctx, sample_rng(cfg.seed, cfg.samples)).g,
         np.zeros((ctx.n, ctx.n), dtype=complex),

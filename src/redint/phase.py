@@ -26,6 +26,7 @@ from .groups import (
     H_FD,
     GroupContext,
     ShapeError,
+    basis_coordinates,
     basis_stack,
     from_coordinates,
     group_exp,
@@ -127,6 +128,19 @@ def chart_basis(ctx: GroupContext):
     return np.concatenate([E, Z]), np.concatenate([Z, E])
 
 
+def chart_rows(ctx: GroupContext, a, b):
+    """Chart coordinates ``[coords(a) | coords(b)]`` of the right-trivialized
+    tangent vectors ``(a g, b)``, one row per slice of the stacks ``a`` and
+    ``b`` of shape ``(..., K, n, n)``; the result has shape ``(..., K, 2 dim_g)``.
+
+    One :func:`basis_coordinates` call over both stacks per point, which
+    bounds the gather; equal bit for bit to the coordinates of each matrix.
+    """
+    pairs = np.stack([a, b], axis=-3)
+    rows = [basis_coordinates(ctx, pairs[i]) for i in np.ndindex(pairs.shape[:-4])]
+    return np.reshape(rows, pairs.shape[:-3] + (2 * ctx.dim_g,))
+
+
 @lru_cache(maxsize=None)
 def _chart_steps(n: int):
     """``(exp(t a), t b)`` for the steps ``t = [H_FD, -H_FD]`` of :func:`shift` along
@@ -141,7 +155,9 @@ def _chart_steps(n: int):
 def fd_chart(F_value, x: PhasePoint):
     """Central difference of a (stacked) point function along every
     :func:`chart_basis` direction, from the ``[H_FD, -H_FD]`` steps cached per
-    ``n``; ``F_value`` is called once, on the stack of shifted points."""
+    ``n``; ``F_value`` is called once, on the stack of shifted points. The
+    oracle of functions with no exact gradient here: the product observables
+    of ``bracket-axioms`` and :func:`fd_gradients`."""
     G, B = _chart_steps(x.n)
     v = F_value(PhasePoint(G @ x.g, x.J + B))
     return (v[0] - v[1]) / (2.0 * H_FD)

@@ -4,7 +4,7 @@ Everything here works upstairs on the phase space: quotient statements are
 tested modulo the gauge distribution spanned by the conjugation action, so
 no chart on the orbit space is ever constructed. Every certificate matrix
 stacks rows ``[coords(a) | coords(b)]``, one per tangent vector ``(a g, b)``
-or differential, built by :func:`chart_rows`. The certificates are
+or differential, built by :func:`~redint.phase.chart_rows`. The certificates are
 
 * ``classify``           stratum membership flags for a phase point,
 * ``reduced_hamiltonian_span``   dimension of the projected span of the
@@ -45,7 +45,6 @@ from .groups import (
     GroupContext,
     StructureError,
     adjoint,
-    basis_coordinates,
     basis_stack,
     centralizer_basis,
     is_regular,
@@ -53,7 +52,14 @@ from .groups import (
     lie_bracket,
     numerical_rank,
 )
-from .phase import PhasePoint, bracket_from_gradients, gradient_table, moment_map, poisson_bracket
+from .phase import (
+    PhasePoint,
+    bracket_from_gradients,
+    chart_rows,
+    gradient_table,
+    moment_map,
+    poisson_bracket,
+)
 
 
 @dataclass(frozen=True)
@@ -90,19 +96,6 @@ def classify(x: PhasePoint) -> StratumFlags:
     image_principal = principal & regular_momentum & (stab == 0)
     regular_moment = is_regular(moment_map(x))
     return StratumFlags(regular_momentum, principal, image_principal, regular_moment, stab)
-
-
-def chart_rows(ctx: GroupContext, a, b):
-    """Chart coordinates ``[coords(a) | coords(b)]`` of the right-trivialized
-    tangent vectors ``(a g, b)``, one row per slice of the stacks ``a`` and
-    ``b`` of shape ``(..., K, n, n)``; the result has shape ``(..., K, 2 dim_g)``.
-
-    One :func:`basis_coordinates` call over both stacks per point, which
-    bounds the gather; equal bit for bit to the coordinates of each matrix.
-    """
-    pairs = np.stack([a, b], axis=-3)
-    rows = [basis_coordinates(ctx, pairs[i]) for i in np.ndindex(pairs.shape[:-4])]
-    return np.reshape(rows, pairs.shape[:-3] + (2 * ctx.dim_g,))
 
 
 def gauge_matrix(x: PhasePoint):

@@ -368,7 +368,7 @@ class TrajectoryComparison:
     flow (``q``, ``p``) and the exact Sutherland motion of
     :func:`sutherland_closed_form` (``q_oracle``, ``p_oracle``, and its
     ``energy`` and ``energy_drift``). ``deviation`` is the larger of the two
-    coordinate gaps per sample; ``time_scale`` is :data:`TIME_SCALE`."""
+    coordinate gaps per sample."""
 
     t: np.ndarray
     q: np.ndarray
@@ -378,7 +378,6 @@ class TrajectoryComparison:
     energy: np.ndarray
     deviation: np.ndarray
     max_deviation: float
-    time_scale: float
     energy_drift: float
     domain_exit: bool
 
@@ -419,7 +418,6 @@ def reduced_dynamics_match(
         energies[:k],
         deviation,
         max((0.0, *deviation)),
-        TIME_SCALE,
         drift,
         bool(failures),
     )

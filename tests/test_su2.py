@@ -25,7 +25,6 @@ from redint.su2 import (
     P_GRID,
     Q_GRID,
     SliceCoords,
-    TIME_SCALE,
     X_GRID,
     calibrate_time_scale,
     energy_identity_residual,
@@ -195,7 +194,6 @@ def test_reduced_dynamics_match():
     assert not comp.domain_exit
     assert comp.max_deviation <= 1e-6
     assert comp.energy_drift <= 1e-8
-    assert comp.time_scale == TIME_SCALE == 2.0
 
 
 @pytest.mark.parametrize("steps", [0, -5])
